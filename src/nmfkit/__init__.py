@@ -1,22 +1,7 @@
 """nmfkit: majorization-minimization solvers, fixed-point acceleration and
 benchmark tooling for nonnegative matrix factorization."""
 
-from .bench import (
-    ALL_ALGORITHMS,
-    BenchResults,
-    BenchScenario,
-    MatrixKind,
-    RunToTargetResult,
-    run_scenario,
-    run_to_target,
-)
-from .datagen import BssScenario, generate_bss, generate_dense_uniform, generate_sparse
-from .diagnostics import (
-    KktReport,
-    MajorizationReport,
-    audit_majorization,
-    kkt_residual,
-)
+from .diagnostics import kkt_residual
 from .errors import (
     ContractViolationError,
     CsvFormatError,
@@ -28,77 +13,42 @@ from .errors import (
     PositivityError,
     ShapeError,
 )
-from .linalg import (
-    frobenius_residual,
-    max_row_sum,
-    normalize_columns,
-    read_matrix_csv,
-    write_matrix_csv,
-)
+from .linalg import read_matrix_csv, write_matrix_csv
 from .solvers import (
     Algorithm,
     FactorPair,
-    InitScheme,
     IterationTrace,
     SolverConfig,
     fast_hals_iterate,
-    initial_factors,
     inom_iterate,
-    inom_update_h,
-    inom_update_w,
     mu_iterate,
     parinom_iterate,
     solve,
 )
-from .squarem import AccelState, FixedPointMap, mu_map, parinom_map, squarem_step
+from .squarem import squarem_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_ALGORITHMS",
-    "AccelState",
     "Algorithm",
-    "BenchResults",
-    "BenchScenario",
-    "BssScenario",
     "ContractViolationError",
     "CsvFormatError",
     "DegenerateColumnError",
     "DegenerateComponentError",
     "DegenerateFactorError",
     "FactorPair",
-    "FixedPointMap",
-    "InitScheme",
     "IterationTrace",
-    "KktReport",
-    "MajorizationReport",
-    "MatrixKind",
     "NmfError",
     "NumericalFailureError",
     "PositivityError",
-    "RunToTargetResult",
     "ShapeError",
     "SolverConfig",
-    "audit_majorization",
     "fast_hals_iterate",
-    "frobenius_residual",
-    "generate_bss",
-    "generate_dense_uniform",
-    "generate_sparse",
-    "initial_factors",
     "inom_iterate",
-    "inom_update_h",
-    "inom_update_w",
     "kkt_residual",
-    "max_row_sum",
     "mu_iterate",
-    "mu_map",
-    "normalize_columns",
     "parinom_iterate",
-    "parinom_map",
     "read_matrix_csv",
-    "run_scenario",
-    "run_to_target",
     "solve",
     "squarem_step",
     "write_matrix_csv",

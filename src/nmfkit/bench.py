@@ -1,16 +1,18 @@
-"""Benchmark harness: run algorithms to a target objective fraction, average
+"""Benchmark presets: run algorithms to a target objective fraction, average
 over seeded trials, and emit comparison tables.
 
-Within a trial every algorithm sees the same data matrix and the same
-starting factors, so initial objectives match and timing differences come
-from the iterations alone. Timing starts after data generation, input
-normalization and initialization; step-size and bound computations are part
-of each algorithm and are included.
+Every cell is one :func:`~nmfkit.solvers.solve` call: the table presets set
+``SolverConfig.target_fraction`` and the sim1 preset uses the relative-change
+tolerance; each row is read off the solve's trace. Within a trial every
+algorithm sees the same data matrix and the same starting factors, so initial
+objectives match and timing differences come from the iterations alone. The
+trace clock starts after data generation, input normalization,
+initialization and the starting objective; step-size and bound computations
+are part of each algorithm and are included.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -23,19 +25,14 @@ from .errors import ContractViolationError, NmfError
 from .solvers import (
     Algorithm,
     FactorPair,
-    InitScheme,
     IterationTrace,
     SolverConfig,
-    initial_factors,
-    iteration_stepper,
     solve,
 )
 
 __all__ = [
     "MatrixKind",
     "BenchScenario",
-    "RunToTargetResult",
-    "run_to_target",
     "TrialRow",
     "BenchResults",
     "run_scenario",
@@ -98,44 +95,6 @@ class BenchScenario:
 
 
 @dataclass(frozen=True)
-class RunToTargetResult:
-    elapsed_s: float
-    iters: int
-    achieved: bool
-    final_objective: float
-
-
-def run_to_target(
-    V, config: SolverConfig, target_fraction: float
-) -> RunToTargetResult:
-    """Iterate until the objective falls to ``target_fraction`` of its
-    starting value, or ``config.max_iters`` is exhausted.
-
-    The clock covers the iterations only (from just before the first step to
-    the end of the first iteration that meets the target).
-    """
-    if not 0.0 < target_fraction <= 1.0:
-        raise ContractViolationError(
-            f"target_fraction must be in (0, 1], got {target_fraction}"
-        )
-    if config.init is not InitScheme.UNIFORM_01:
-        raise ContractViolationError("run_to_target always uses seeded uniform init")
-    V = linalg.as_matrix(V, "V")
-    state = initial_factors(V, config)
-    step = iteration_stepper(config)
-    f0 = linalg.frobenius_residual(V, state.W, state.H)
-    target = target_fraction * f0
-    t0 = time.perf_counter()
-    f = f0
-    for k in range(1, config.max_iters + 1):
-        state, _ = step(V, state)
-        f = linalg.frobenius_residual(V, state.W, state.H)
-        if f <= target:
-            return RunToTargetResult(time.perf_counter() - t0, k, True, f)
-    return RunToTargetResult(time.perf_counter() - t0, config.max_iters, False, f)
-
-
-@dataclass(frozen=True)
 class TrialRow:
     scenario: str
     algorithm: Algorithm
@@ -146,6 +105,22 @@ class TrialRow:
     achieved: bool
     final_objective: float
     error: Optional[str] = None
+
+    @classmethod
+    def from_trace(
+        cls, scenario: str, algorithm: Algorithm, r: int, trial: int, trace: IterationTrace
+    ) -> "TrialRow":
+        """The row of one finished solve; ``achieved`` is ``trace.converged``."""
+        return cls(
+            scenario,
+            algorithm,
+            r,
+            trial,
+            trace.records[-1].elapsed_s,
+            trace.iterations,
+            trace.converged,
+            trace.final_objective,
+        )
 
 
 @dataclass
@@ -243,7 +218,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
     Per trial, all algorithms share one data matrix and (per rank) one seeded
     initialization. A failing cell is recorded with its error message and the
     scenario continues. Iteration counts are reproducible bit-for-bit for a
-    fixed scenario seed; elapsed times of course are not.
+    fixed scenario seed and BLAS thread count; elapsed times of course are not.
     """
     results = BenchResults()
     for trial in range(scenario.trials):
@@ -252,21 +227,16 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
             init_seed = derive_seed(scenario.seed, trial, 1, r)
             for alg in scenario.algorithms:
                 config = SolverConfig(
-                    algorithm=alg, rank=r, max_iters=scenario.max_iters, seed=init_seed
+                    algorithm=alg,
+                    rank=r,
+                    max_iters=scenario.max_iters,
+                    seed=init_seed,
+                    target_fraction=scenario.target_fraction,
                 )
                 try:
-                    res = run_to_target(V, config, scenario.target_fraction)
+                    _, trace = solve(V, config)
                     results.rows.append(
-                        TrialRow(
-                            scenario.name,
-                            alg,
-                            r,
-                            trial,
-                            res.elapsed_s,
-                            res.iters,
-                            res.achieved,
-                            res.final_objective,
-                        )
+                        TrialRow.from_trace(scenario.name, alg, r, trial, trace)
                     )
                 except NmfError as exc:
                     results.rows.append(
@@ -385,18 +355,7 @@ def sim1_run(
         pair, trace = solve(V, config)
         traces[alg] = trace
         pairs[alg] = pair
-        results.rows.append(
-            TrialRow(
-                "sim1",
-                alg,
-                1,
-                0,
-                trace.records[-1].elapsed_s,
-                trace.iterations,
-                trace.converged,
-                trace.final_objective,
-            )
-        )
+        results.rows.append(TrialRow.from_trace("sim1", alg, 1, 0, trace))
     return Sim1Result(traces=traces, pairs=pairs, results=results)
 
 

@@ -2,8 +2,8 @@
 reproduce the source-separation experiment, or run the verification suites.
 
 Exit codes: 0 success, 1 usage/input error, 2 numerical failure,
-3 verification failure. With identical flags and seeds all file outputs are
-byte-identical except for timing columns.
+3 verification failure. With identical flags, seeds and BLAS thread count all
+file outputs are byte-identical except for timing columns.
 """
 
 from __future__ import annotations
@@ -15,8 +15,13 @@ import sys
 import numpy as np
 
 from . import bench, datagen, diagnostics, linalg, solvers, verify
-from .errors import ContractViolationError, CsvFormatError, NmfError
-from .solvers import Algorithm, FactorPair, InitScheme, SolverConfig
+from .errors import (
+    ContractViolationError,
+    CsvFormatError,
+    DegenerateColumnError,
+    NmfError,
+)
+from .solvers import Algorithm, FactorPair, SolverConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,7 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_factorize(args) -> int:
     V = linalg.read_matrix_csv(args.input)
     if args.normalize:
-        V = linalg.normalize_columns(V)
+        try:
+            V = linalg.normalize_columns(V)
+        except DegenerateColumnError as exc:
+            raise ContractViolationError(
+                f"--normalize needs nonzero input columns; input {exc}"
+            ) from None
     config = SolverConfig(
         algorithm=args.algo,
         rank=args.rank,
@@ -267,7 +277,6 @@ def cmd_bss(args) -> int:
         tol=_BSS_TOL,
         max_iters=_BSS_MAX_ITERS,
         seed=args.seed,
-        init=InitScheme.PROVIDED,
     )
     pair, trace = solvers.solve(observed, config, init=FactorPair(W0, H0))
 

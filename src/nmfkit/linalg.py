@@ -40,6 +40,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def require_nonnegative(M: np.ndarray, name: str = "matrix") -> None:
+    """Raise :class:`ContractViolationError` unless every entry of ``M`` is
+    finite and nonnegative."""
+    if not np.all(np.isfinite(M)):
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ContractViolationError(
+            f"{name} must be finite; entry ({i}, {j}) is {M[i, j]!r}"
+        )
     if np.any(M < 0):
         i, j = np.argwhere(M < 0)[0]
         raise ContractViolationError(
@@ -108,7 +115,11 @@ def max_row_sum(A) -> float:
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ContractViolationError(f"A must be square, got shape {A.shape}")
-    require_nonnegative(A, "A")
+    # Negativity only: a non-finite Gram matrix of diverging iterates must
+    # reach the solve loop's non-finite objective check, not fail here as a
+    # bad argument.
+    if np.any(A < 0):
+        raise ContractViolationError(f"A must be entrywise nonnegative, min is {A.min()!r}")
     return float(A.sum(axis=1).max())
 
 
@@ -131,7 +142,7 @@ def read_matrix_csv(path) -> np.ndarray:
     """Parse a matrix written by :func:`write_matrix_csv`.
 
     Raises :class:`CsvFormatError` with the 1-based line number on any
-    malformed header, row, or value.
+    malformed header, row, or value, including a non-finite one.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -165,4 +176,9 @@ def read_matrix_csv(path) -> np.ndarray:
             out[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from None
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise CsvFormatError(
+            f"value {j + 1} is {out[i, j]!r}; entries must be finite", line=i + 2
+        )
     return out

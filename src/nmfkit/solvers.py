@@ -35,11 +35,11 @@ from .errors import (
 
 __all__ = [
     "Algorithm",
-    "InitScheme",
     "SolverConfig",
     "FactorPair",
     "TraceRecord",
     "IterationTrace",
+    "normalize_pair",
     "initial_factors",
     "inom_update_h",
     "inom_update_w",
@@ -66,11 +66,6 @@ class Algorithm(Enum):
     ACC_MU = "acc-mu"
 
 
-class InitScheme(Enum):
-    UNIFORM_01 = "uniform01"
-    PROVIDED = "provided"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything a solve needs besides the data matrix itself."""
@@ -81,13 +76,17 @@ class SolverConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     positivity_floor: float = DEFAULT_FLOOR
     seed: int = 0
-    init: InitScheme = InitScheme.UNIFORM_01
+    target_fraction: Optional[float] = None
 
     def __post_init__(self):
         if self.rank < 1:
             raise ContractViolationError(f"rank must be >= 1, got {self.rank}")
         if not self.tol > 0:
             raise ContractViolationError(f"tol must be > 0, got {self.tol}")
+        if self.target_fraction is not None and not 0.0 < self.target_fraction <= 1.0:
+            raise ContractViolationError(
+                f"target_fraction must be in (0, 1], got {self.target_fraction}"
+            )
         if self.max_iters < 1:
             raise ContractViolationError(
                 f"max_iters must be >= 1, got {self.max_iters}"
@@ -178,8 +177,12 @@ class IterationTrace:
                 fh.write(f"{r.iteration},{r.objective!r},{r.elapsed_s!r}\n")
 
 
-def _normalize_pair(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Move column scales of W into rows of H so the product is unchanged.
+def normalize_pair(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalize the columns of W and move their scales into the rows of
+    H, which leaves the product W H unchanged.
+
+    Raises :class:`DegenerateFactorError` when a column of W is zero.
+    """
     norms = linalg.column_norms(W)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -233,15 +236,20 @@ def inom_update_w(V, W, H) -> tuple[np.ndarray, float]:
     return Wn, nu
 
 
+def _inom_step(V, state: FactorPair) -> tuple[FactorPair, dict]:
+    # The one INOM iteration: inom_iterate drops the step sizes, solve
+    # records them.
+    Hn, mu = inom_update_h(V, state.W, state.H)
+    Wn, nu = inom_update_w(V, state.W, Hn)
+    return FactorPair(*normalize_pair(Wn, Hn)), {"mu": mu, "nu": nu}
+
+
 def inom_iterate(V, state: FactorPair) -> FactorPair:
     """Full INOM iteration: H step, then W step, then renormalize W.
 
     Per-iteration cost is O(2 r n m + 2 r^2 (n + m)).
     """
-    Hn, _ = inom_update_h(V, state.W, state.H)
-    Wn, _ = inom_update_w(V, state.W, Hn)
-    Wn, Hn = _normalize_pair(Wn, Hn)
-    return FactorPair(Wn, Hn)
+    return _inom_step(V, state)[0]
 
 
 def _parinom_products(V, W, H):
@@ -298,7 +306,7 @@ def parinom_iterate(
     else:
         Wn = _quarter_power_step(VHt, WHHt, W, floor, "W")
         Hn = _quarter_power_step(WtV, WtWH, H, floor, "H")
-    Wn, Hn = _normalize_pair(Wn, Hn)
+    Wn, Hn = normalize_pair(Wn, Hn)
     return FactorPair(Wn, Hn)
 
 
@@ -318,7 +326,7 @@ def mu_iterate(V, state: FactorPair, *, floor: float = DEFAULT_FLOOR) -> FactorP
     if np.any(den_h == 0.0):
         raise PositivityError("zero denominator entry in the MU H update")
     Hn = np.maximum(floor, H * ((Wn.T @ V) / den_h))
-    Wn, Hn = _normalize_pair(Wn, Hn)
+    Wn, Hn = normalize_pair(Wn, Hn)
     return FactorPair(Wn, Hn)
 
 
@@ -364,12 +372,7 @@ def iteration_stepper(
     alg = config.algorithm
 
     if alg is Algorithm.INOM:
-
-        def step(V, state):
-            Hn, mu = inom_update_h(V, state.W, state.H)
-            Wn, nu = inom_update_w(V, state.W, Hn)
-            Wn, Hn = _normalize_pair(Wn, Hn)
-            return FactorPair(Wn, Hn), {"mu": mu, "nu": nu}
+        step = _inom_step
 
     elif alg is Algorithm.PARINOM:
 
@@ -412,8 +415,13 @@ def solve(
     *,
     callback: Optional[Callable[[int, FactorPair], None]] = None,
 ) -> tuple[FactorPair, IterationTrace]:
-    """Run the configured iteration map until the relative objective change
-    drops to ``config.tol`` or ``config.max_iters`` is reached.
+    """Run the configured iteration map until the stopping rule holds or
+    ``config.max_iters`` is reached.
+
+    The stopping rule is the relative objective change dropping to
+    ``config.tol``. When ``config.target_fraction`` is set it replaces that
+    rule: the solve stops at the first iteration whose objective is at most
+    ``target_fraction`` times the starting objective, and ``tol`` is ignored.
 
     Parameters
     ----------
@@ -423,8 +431,9 @@ def solve(
     config : SolverConfig
         Algorithm, rank, stopping rule, floor and seed.
     init : FactorPair, optional
-        Starting factors; required (and only allowed) with
-        ``InitScheme.PROVIDED``.
+        Starting factors, shapes (n, rank) and (rank, m), entrywise finite
+        and nonnegative; they are copied and become iterate 0. When omitted the
+        seeded uniform start of :func:`initial_factors` is used.
     callback : callable, optional
         Invoked as ``callback(iteration, state)`` after each full iteration.
 
@@ -432,7 +441,9 @@ def solve(
     -------
     (FactorPair, IterationTrace)
         Final factors and the full objective/timing trace. The objective
-        sequence in the trace is non-increasing.
+        sequence in the trace is non-increasing. ``trace.converged`` is true
+        when the stopping rule held (with ``target_fraction``: the target was
+        reached) and false when the iteration cap ended the solve.
     """
     V = linalg.as_matrix(V, "V")
     linalg.require_nonnegative(V, "V")
@@ -442,9 +453,9 @@ def solve(
             f"rank {config.rank} exceeds min(n, m) = {min(n, m)}"
         )
 
-    if config.init is InitScheme.PROVIDED:
-        if init is None:
-            raise ContractViolationError("InitScheme.PROVIDED requires init factors")
+    if init is None:
+        state = initial_factors(V, config)
+    else:
         if init.W.shape != (n, config.rank) or init.H.shape != (config.rank, m):
             raise ContractViolationError(
                 f"init shapes {init.W.shape}/{init.H.shape} do not match "
@@ -453,12 +464,6 @@ def solve(
         linalg.require_nonnegative(init.W, "init W")
         linalg.require_nonnegative(init.H, "init H")
         state = init.copy()
-    else:
-        if init is not None:
-            raise ContractViolationError(
-                "init factors were given but config.init is not PROVIDED"
-            )
-        state = initial_factors(V, config)
 
     step = iteration_stepper(config)
     trace = IterationTrace()
@@ -466,6 +471,7 @@ def solve(
     if not np.isfinite(f_prev):
         raise NumericalFailureError("initial objective is not finite", iteration=0)
     trace.append(TraceRecord(0, f_prev, 0.0))
+    target = None if config.target_fraction is None else config.target_fraction * f_prev
 
     t0 = time.perf_counter()
     for k in range(1, config.max_iters + 1):
@@ -487,8 +493,12 @@ def solve(
         )
         if callback is not None:
             callback(k, state)
-        rel_change = abs(f_k - f_prev) / f_prev if f_prev > 0.0 else 0.0
-        if rel_change <= config.tol:
+        if target is not None:
+            done = f_k <= target
+        else:
+            rel_change = abs(f_k - f_prev) / f_prev if f_prev > 0.0 else 0.0
+            done = rel_change <= config.tol
+        if done:
             trace.converged = True
             break
         f_prev = f_k

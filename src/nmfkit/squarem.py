@@ -2,9 +2,14 @@
 
 One accelerated step applies the wrapped map twice, extrapolates each factor
 along its squared iterate difference, and backtracks the extrapolation
-weights toward -1 until the objective does not rise. At alpha = -1 the
-candidate is exactly the two-step iterate, so backtracking always terminates
-because the wrapped map itself never increases the objective.
+weights toward -1 until the Frobenius objective does not rise. At alpha = -1
+the candidate is exactly the two-step iterate, so backtracking always
+terminates because the wrapped map itself never increases the objective.
+
+The objective serves only as the descent test on each candidate (Varadhan &
+Roland, Scand. J. Statist. 35(2), 2008). A step evaluates it once at the
+start point, once per candidate and once at the two-step iterate; the
+accepted candidate's value is kept for the final comparison.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from .errors import NumericalFailureError
 from .solvers import (
     DEFAULT_FLOOR,
     FactorPair,
-    _normalize_pair,
     mu_iterate,
+    normalize_pair,
     parinom_iterate,
 )
 
@@ -42,32 +47,21 @@ _ALPHA_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class FixedPointMap:
-    """A single-step NMF iteration map plus its objective evaluator.
+    """A single-step NMF iteration map.
 
-    ``step`` must be monotone non-increasing in ``objective``; that property
-    is what guarantees the backtracking loop terminates.
+    ``step`` must never increase the Frobenius objective; that property is
+    what guarantees the backtracking loop terminates.
     """
 
     step: Callable[[np.ndarray, FactorPair], FactorPair]
-    objective: Callable[[np.ndarray, FactorPair], float]
-
-
-def _frobenius_pair_objective(V, pair: FactorPair) -> float:
-    return linalg.frobenius_residual(V, pair.W, pair.H)
 
 
 def parinom_map(floor: float = DEFAULT_FLOOR) -> FixedPointMap:
-    return FixedPointMap(
-        step=lambda V, pair: parinom_iterate(V, pair, floor=floor),
-        objective=_frobenius_pair_objective,
-    )
+    return FixedPointMap(step=lambda V, pair: parinom_iterate(V, pair, floor=floor))
 
 
 def mu_map(floor: float = DEFAULT_FLOOR) -> FixedPointMap:
-    return FixedPointMap(
-        step=lambda V, pair: mu_iterate(V, pair, floor=floor),
-        objective=_frobenius_pair_objective,
-    )
+    return FixedPointMap(step=lambda V, pair: mu_iterate(V, pair, floor=floor))
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ def squarem_step(
     identity, which reproduces the two-step iterate exactly).
     """
     x0 = state
-    f0 = fp_map.objective(V, x0)
+    f0 = linalg.frobenius_residual(V, x0.W, x0.H)
     x1 = fp_map.step(V, x0)
     x2 = fp_map.step(V, x1)
 
@@ -137,12 +131,12 @@ def squarem_step(
             return x2.copy()
         Wc = x2.W if w_is_x2 else np.maximum(floor, x0.W - 2.0 * aw * rw + aw * aw * vw)
         Hc = x2.H if h_is_x2 else np.maximum(floor, x0.H - 2.0 * ah * rh + ah * ah * vh)
-        Wc, Hc = _normalize_pair(Wc, Hc)
-        return FactorPair(Wc, Hc)
+        return FactorPair(*normalize_pair(Wc, Hc))
 
     candidate = build(alpha_w, alpha_h)
+    f_candidate = linalg.frobenius_residual(V, candidate.W, candidate.H)
     backtracks = 0
-    while fp_map.objective(V, candidate) > f0:
+    while f_candidate > f0:
         pinned_w = degen_w or alpha_w == -1.0
         pinned_h = degen_h or alpha_h == -1.0
         if pinned_w and pinned_h:
@@ -163,9 +157,10 @@ def squarem_step(
                 alpha_h = -1.0
         backtracks += 1
         candidate = build(alpha_w, alpha_h)
+        f_candidate = linalg.frobenius_residual(V, candidate.W, candidate.H)
 
     # Never finish worse than the plain two-step iterate.
-    if fp_map.objective(V, candidate) > fp_map.objective(V, x2):
+    if f_candidate > linalg.frobenius_residual(V, x2.W, x2.H):
         candidate = x2.copy()
         alpha_w = alpha_h = -1.0
 

@@ -11,7 +11,6 @@ from nmfkit.bench import BenchScenario, MatrixKind, run_scenario, sim1_run
 from nmfkit.solvers import (
     Algorithm,
     FactorPair,
-    InitScheme,
     SolverConfig,
     initial_factors,
     inom_iterate,
@@ -283,7 +282,6 @@ def _bss_solve(algorithm, noise_variance, seed=0):
         tol=1e-8,
         max_iters=1000,
         seed=seed,
-        init=InitScheme.PROVIDED,
     )
     pair, _ = solve(observed, config, init=FactorPair(W0, H0))
     matches = cli.match_sources(pair.H, sources)

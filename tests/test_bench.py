@@ -6,7 +6,6 @@ from nmfkit.bench import (
     BenchScenario,
     MatrixKind,
     run_scenario,
-    run_to_target,
     sim1_run,
     sim1_write_outputs,
     sim2_scenario,
@@ -14,41 +13,47 @@ from nmfkit.bench import (
     write_objective_svg,
 )
 from nmfkit.errors import ContractViolationError, NumericalFailureError
-from nmfkit.solvers import Algorithm, SolverConfig
+from nmfkit.solvers import Algorithm, SolverConfig, solve
 
 from _util import planted_instance
 
 
 class TestRunToTarget:
+    """``solve`` with ``target_fraction``: the stop rule of the table presets."""
+
     def test_target_one_achieved_after_first_iteration(self):
         rng = np.random.default_rng(0)
         V = linalg.normalize_columns(rng.uniform(0.5, 1.5, (10, 12)))
-        config = SolverConfig(algorithm=Algorithm.INOM, rank=2, seed=1)
-        res = run_to_target(V, config, 1.0)
-        assert res.achieved
-        assert res.iters == 1
+        config = SolverConfig(
+            algorithm=Algorithm.INOM, rank=2, seed=1, target_fraction=1.0
+        )
+        _, trace = solve(V, config)
+        assert trace.converged
+        assert trace.iterations == 1
 
     def test_planted_instance_reaches_tiny_target(self):
         V, _ = planted_instance(2, n=6, m=8, r=2)
-        config = SolverConfig(algorithm=Algorithm.INOM, rank=2, seed=3)
-        res = run_to_target(V, config, 0.01)
-        assert res.achieved
-        assert res.final_objective <= 0.01 * 1.0 + res.final_objective  # sanity
+        config = SolverConfig(
+            algorithm=Algorithm.INOM, rank=2, seed=3, target_fraction=0.01
+        )
+        _, trace = solve(V, config)
+        assert trace.converged
+        assert trace.final_objective <= 0.01 * 1.0 + trace.final_objective  # sanity
 
     def test_unreachable_target_reports_not_achieved(self):
         rng = np.random.default_rng(4)
         V = linalg.normalize_columns(rng.uniform(0.9, 1.1, (8, 9)))
-        config = SolverConfig(algorithm=Algorithm.MU, rank=1, max_iters=3, seed=5)
-        res = run_to_target(V, config, 1e-12)
-        assert not res.achieved
-        assert res.iters == 3
+        config = SolverConfig(
+            algorithm=Algorithm.MU, rank=1, max_iters=3, seed=5, target_fraction=1e-12
+        )
+        _, trace = solve(V, config)
+        assert not trace.converged
+        assert trace.iterations == 3
 
     def test_bad_fraction_rejected(self):
-        V = np.ones((3, 3))
-        config = SolverConfig(algorithm=Algorithm.INOM, rank=1)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ContractViolationError):
-                run_to_target(V, config, bad)
+                SolverConfig(algorithm=Algorithm.INOM, rank=1, target_fraction=bad)
 
 
 class TestScenario:

@@ -85,6 +85,24 @@ class TestFactorize:
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_csv_exits_one_with_line(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"2,2\n1.0,2.0\n1.0,{value}\n")
+        outs = ["--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv")]
+        code = main(["factorize", str(bad), "--rank", "1", *outs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert "line 3" in err
+
+    def test_normalize_zero_column_exits_one(self, tmp_path, capsys):
+        inp = write_csv(tmp_path / "v.csv", np.array([[3.0, 0.0], [4.0, 0.0]]))
+        outs = ["--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv")]
+        code = main(["factorize", inp, "--rank", "1", "--normalize", *outs])
+        assert code == EXIT_USAGE
+        assert "column 1" in capsys.readouterr().err
+
     def test_rank_too_large_is_usage_error(self, tmp_path, capsys):
         inp = write_csv(tmp_path / "v.csv", np.ones((2, 3)))
         code = main(["factorize", inp, "--rank", "5"])

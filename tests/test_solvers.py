@@ -14,7 +14,6 @@ from nmfkit.errors import (
 from nmfkit.solvers import (
     Algorithm,
     FactorPair,
-    InitScheme,
     SolverConfig,
     fast_hals_iterate,
     initial_factors,
@@ -276,6 +275,8 @@ class TestSolverConfig:
             SolverConfig(algorithm=Algorithm.INOM, rank=1, max_iters=0)
         with pytest.raises(ContractViolationError):
             SolverConfig(algorithm=Algorithm.INOM, rank=1, positivity_floor=0.0)
+        with pytest.raises(ContractViolationError):
+            SolverConfig(algorithm=Algorithm.INOM, rank=1, target_fraction=math.nan)
 
     def test_infinite_tol_is_allowed(self):
         SolverConfig(algorithm=Algorithm.INOM, rank=1, tol=math.inf)
@@ -293,18 +294,40 @@ class TestSolve:
         with pytest.raises(ContractViolationError):
             solve(V, SolverConfig(algorithm=Algorithm.INOM, rank=1))
 
-    def test_provided_init_requires_factors(self):
-        V = np.ones((3, 4))
-        config = SolverConfig(algorithm=Algorithm.INOM, rank=2, init=InitScheme.PROVIDED)
-        with pytest.raises(ContractViolationError):
-            solve(V, config)
+    def test_non_finite_data_rejected(self):
+        for bad in (np.nan, np.inf):
+            V = np.array([[1.0, bad], [2.0, 3.0]])
+            with pytest.raises(ContractViolationError):
+                solve(V, SolverConfig(algorithm=Algorithm.INOM, rank=1))
 
-    def test_uniform_init_rejects_explicit_factors(self):
+    def test_init_of_wrong_shape_rejected(self):
         V = np.ones((3, 4))
         config = SolverConfig(algorithm=Algorithm.INOM, rank=2)
-        init = FactorPair(np.ones((3, 2)), np.ones((2, 4)))
+        for init in (
+            FactorPair(np.ones((3, 1)), np.ones((1, 4))),
+            FactorPair(np.ones((3, 2)), np.ones((2, 5))),
+        ):
+            with pytest.raises(ContractViolationError):
+                solve(V, config, init=init)
+
+    def test_negative_init_rejected(self):
+        V = np.ones((3, 4))
+        config = SolverConfig(algorithm=Algorithm.INOM, rank=2)
+        W = np.ones((3, 2))
+        H = np.ones((2, 4))
+        H[1, 2] = -1e-3
         with pytest.raises(ContractViolationError):
-            solve(V, config, init=init)
+            solve(V, config, init=FactorPair(W, H))
+        with pytest.raises(ContractViolationError):
+            solve(V, config, init=FactorPair(-W, np.ones((2, 4))))
+
+    def test_given_init_is_iterate_zero(self):
+        V, start = random_instance(22)
+        config = SolverConfig(algorithm=Algorithm.MU, rank=3, max_iters=2, seed=23)
+        _, trace = solve(V, config, init=start)
+        assert trace.objectives[0] == objective(V, start)
+        seeded = initial_factors(V, config)
+        assert trace.objectives[0] != objective(V, seeded)
 
     def test_infinite_tol_two_point_trace(self):
         V = np.random.default_rng(12).uniform(0.5, 1.5, (5, 6))
