@@ -136,6 +136,7 @@ def cmd_factorize(args) -> int:
     print(f"algorithm: {config.algorithm.value}")
     print(f"iterations: {trace.iterations}")
     print(f"converged: {str(trace.converged).lower()}")
+    print(f"stop_reason: {trace.stop_reason}")
     print(f"final_objective: {trace.final_objective!r}")
     print(report.to_text(), end="")
     return EXIT_OK

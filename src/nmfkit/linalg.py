@@ -21,6 +21,7 @@ __all__ = [
     "as_matrix",
     "require_nonnegative",
     "frobenius_residual",
+    "gram_objective",
     "column_norms",
     "normalize_columns",
     "max_row_sum",
@@ -81,6 +82,30 @@ def frobenius_residual(V, W, H) -> float:
         )
     R = V - W @ H
     return float(np.sum(R * R))
+
+
+# Below this fraction of ||V||_F**2 the Gram form of the objective has lost
+# about four of its sixteen digits to cancellation; gram_objective returns
+# the exact residual there instead.
+GRAM_EXACT_BELOW = 1e-4
+
+
+def gram_objective(V, W, H, v_sq: float, cross: float, WtW, HHt) -> float:
+    """``||V - W H||_F**2`` from products a solver step has already formed.
+
+    Uses ``f = ||V||^2 - 2 <W^T V, H> + <W^T W, H H^T>``: ``v_sq`` is
+    ``||V||_F**2``, ``cross`` is ``<W^T V, H>`` (equally ``<V H^T, W>``),
+    and ``WtW``/``HHt`` are the two r x r Gram matrices. The products may
+    come from any rescaling ``(W D, D^-1 H)`` of the pair, which leaves
+    ``W H`` unchanged. The value is accurate to about ``eps * v_sq``, so
+    when it falls below ``GRAM_EXACT_BELOW * v_sq`` (negative values
+    included) the exact :func:`frobenius_residual` of ``(W, H)`` is returned
+    instead. A non-finite value is returned as it is.
+    """
+    f = v_sq - 2.0 * cross + float(np.vdot(WtW, HHt))
+    if f < GRAM_EXACT_BELOW * v_sq:
+        return frobenius_residual(V, W, H)
+    return f
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:

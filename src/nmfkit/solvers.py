@@ -11,6 +11,11 @@ Conventions kept by every full iteration:
     leaves the product W H (and hence the objective) unchanged. Fast-HALS
     renormalizes each column inside its sweep, where the unit-norm update is
     itself the exact block minimizer.
+
+A full iteration map returns ``(pair, info)``. Given ``v_sq = ||V||_F**2``
+as a keyword, ``info["objective"]`` is the objective of ``pair``, formed in
+Gram form (:func:`linalg.gram_objective`) from products the step has
+already computed; without it the objective is not evaluated.
 """
 
 from __future__ import annotations
@@ -138,10 +143,20 @@ class TraceRecord:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration objective / timing / step-diagnostic log of one solve."""
+    """Per-iteration objective / timing / step-diagnostic log of one solve.
+
+    ``stop_reason`` says why the solve ended: ``"tol"`` (relative objective
+    change at most ``config.tol``), ``"target"`` (objective at most
+    ``config.target_fraction`` times the start) or ``"max_iters"``.
+    """
 
     records: list[TraceRecord] = field(default_factory=list)
-    converged: bool = False
+    stop_reason: Optional[str] = None
+
+    @property
+    def converged(self) -> bool:
+        """True when the stopping rule, not the iteration cap, ended the solve."""
+        return self.stop_reason in ("tol", "target")
 
     def append(self, record: TraceRecord) -> None:
         self.records.append(record)
@@ -223,33 +238,41 @@ def inom_update_h(V, W, H) -> tuple[np.ndarray, float]:
     return Hn, mu
 
 
-def inom_update_w(V, W, H) -> tuple[np.ndarray, float]:
-    """One INOM block update of W with H fixed; returns (W', nu).
+def inom_update_w(V, W, H):
+    """One INOM block update of W with H fixed; returns (W', nu, V H^T, H H^T).
 
-    ``nu`` is the maximum row sum of ``2 H H^T``.
+    ``nu`` is the maximum row sum of ``2 H H^T``. The step's two products
+    are returned so that the caller can form the objective without a fresh
+    O(nmr) product.
     """
     G = H @ H.T
     nu = linalg.max_row_sum(2.0 * G)
     if nu == 0.0:
         raise DegenerateFactorError("H is identically zero; no W step size exists")
-    Wn = np.maximum(0.0, W + (2.0 * (V @ H.T) - 2.0 * (W @ G)) / nu)
-    return Wn, nu
+    VHt = V @ H.T
+    Wn = np.maximum(0.0, W + (2.0 * VHt - 2.0 * (W @ G)) / nu)
+    return Wn, nu, VHt, G
 
 
-def _inom_step(V, state: FactorPair) -> tuple[FactorPair, dict]:
-    # The one INOM iteration: inom_iterate drops the step sizes, solve
-    # records them.
-    Hn, mu = inom_update_h(V, state.W, state.H)
-    Wn, nu = inom_update_w(V, state.W, Hn)
-    return FactorPair(*normalize_pair(Wn, Hn)), {"mu": mu, "nu": nu}
-
-
-def inom_iterate(V, state: FactorPair) -> FactorPair:
+def inom_iterate(
+    V, state: FactorPair, *, v_sq: Optional[float] = None
+) -> tuple[FactorPair, dict]:
     """Full INOM iteration: H step, then W step, then renormalize W.
 
-    Per-iteration cost is O(2 r n m + 2 r^2 (n + m)).
+    Per-iteration cost is O(2 r n m + 2 r^2 (n + m)). The info dict holds
+    the step sizes ``"mu"`` and ``"nu"``; with ``v_sq`` the objective reuses
+    the W step's ``V H^T`` and ``H H^T``.
     """
-    return _inom_step(V, state)[0]
+    Hn, mu = inom_update_h(V, state.W, state.H)
+    Wn, nu, VHt, G = inom_update_w(V, state.W, Hn)
+    pair = FactorPair(*normalize_pair(Wn, Hn))
+    info = {"mu": mu, "nu": nu}
+    if v_sq is not None:
+        cross = float(np.vdot(VHt, Wn))
+        info["objective"] = linalg.gram_objective(
+            V, pair.W, pair.H, v_sq, cross, Wn.T @ Wn, G
+        )
+    return pair, info
 
 
 def _parinom_products(V, W, H):
@@ -286,8 +309,13 @@ def parinom_update(V, W, H, *, floor: float = DEFAULT_FLOOR):
 
 
 def parinom_iterate(
-    V, state: FactorPair, *, floor: float = DEFAULT_FLOOR, parallel: bool = False
-) -> FactorPair:
+    V,
+    state: FactorPair,
+    *,
+    floor: float = DEFAULT_FLOOR,
+    parallel: bool = False,
+    v_sq: Optional[float] = None,
+) -> tuple[FactorPair, dict]:
     """Full PARINOM iteration: joint W/H update, floor, renormalize W.
 
     With ``parallel=True`` the two factor updates run in two threads. The
@@ -295,6 +323,9 @@ def parinom_iterate(
     guaranteed bit-reproducible under concurrent invocation); the per-factor
     elementwise work then proceeds independently, and the result is exactly
     equal to the sequential evaluation.
+
+    Every product of the step belongs to the incoming pair, so with ``v_sq``
+    the objective costs one fresh ``W'^T V``.
     """
     W, H = state.W, state.H
     VHt, WHHt, WtV, WtWH = _parinom_products(V, W, H)
@@ -306,39 +337,53 @@ def parinom_iterate(
     else:
         Wn = _quarter_power_step(VHt, WHHt, W, floor, "W")
         Hn = _quarter_power_step(WtV, WtWH, H, floor, "H")
-    Wn, Hn = normalize_pair(Wn, Hn)
-    return FactorPair(Wn, Hn)
+    pair = FactorPair(*normalize_pair(Wn, Hn))
+    if v_sq is None:
+        return pair, {}
+    W, H = pair.W, pair.H
+    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(W.T @ V, H)), W.T @ W, H @ H.T)
+    return pair, {"objective": f}
 
 
-def mu_iterate(V, state: FactorPair, *, floor: float = DEFAULT_FLOOR) -> FactorPair:
+def mu_iterate(
+    V, state: FactorPair, *, floor: float = DEFAULT_FLOOR, v_sq: Optional[float] = None
+) -> tuple[FactorPair, dict]:
     """Multiplicative-update iteration: W ratio step, then H ratio step.
 
     The H step uses the freshly updated W in both its numerator and
     denominator, which keeps exact factorizations fixed points of the map.
-    W is renormalized (scales moved into H) after the pair of updates.
+    W is renormalized (scales moved into H) after the pair of updates. With
+    ``v_sq`` the objective reuses the H step's ``W'^T V`` and ``W'^T W'``.
     """
     W, H = state.W, state.H
     den_w = W @ (H @ H.T)
     if np.any(den_w == 0.0):
         raise PositivityError("zero denominator entry in the MU W update")
     Wn = np.maximum(floor, W * ((V @ H.T) / den_w))
-    den_h = (Wn.T @ Wn) @ H
+    WtW = Wn.T @ Wn
+    den_h = WtW @ H
     if np.any(den_h == 0.0):
         raise PositivityError("zero denominator entry in the MU H update")
-    Hn = np.maximum(floor, H * ((Wn.T @ V) / den_h))
-    Wn, Hn = normalize_pair(Wn, Hn)
-    return FactorPair(Wn, Hn)
+    WtV = Wn.T @ V
+    Hn = np.maximum(floor, H * (WtV / den_h))
+    pair = FactorPair(*normalize_pair(Wn, Hn))
+    if v_sq is None:
+        return pair, {}
+    cross = float(np.vdot(WtV, Hn))
+    f = linalg.gram_objective(V, pair.W, pair.H, v_sq, cross, WtW, Hn @ Hn.T)
+    return pair, {"objective": f}
 
 
 def fast_hals_iterate(
-    V, state: FactorPair, *, floor: float = DEFAULT_FLOOR
-) -> FactorPair:
+    V, state: FactorPair, *, floor: float = DEFAULT_FLOOR, v_sq: Optional[float] = None
+) -> tuple[FactorPair, dict]:
     """One Fast-HALS sweep: every row of H, then every column of W.
 
     Each inner step is the exact nonnegative minimizer of the objective over
     that single row/column (for W, over the unit sphere, hence the in-loop
     normalization), using Gram-matrix precomputations instead of explicit
-    residuals.
+    residuals. With ``v_sq`` the objective reuses the W sweep's ``V H^T``
+    and ``H H^T``.
     """
     W = state.W.copy()
     H = state.H.copy()
@@ -356,38 +401,46 @@ def fast_hals_iterate(
             raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
         w = np.maximum(floor, W[:, j] + (R[:, j] - W @ S[:, j]) / S[j, j])
         W[:, j] = w / math.sqrt(float(w @ w))
-    return FactorPair(W, H)
+    pair = FactorPair(W, H)
+    if v_sq is None:
+        return pair, {}
+    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(R, W)), W.T @ W, S)
+    return pair, {"objective": f}
 
 
 def iteration_stepper(
-    config: SolverConfig,
-) -> Callable[[np.ndarray, FactorPair], tuple[FactorPair, dict]]:
+    config: SolverConfig, v_sq: float
+) -> Callable[[np.ndarray, FactorPair, float], tuple[FactorPair, dict]]:
     """Build the per-iteration step function for ``config.algorithm``.
 
-    The returned callable maps ``(V, state)`` to ``(new_state, info)`` where
-    ``info`` carries step diagnostics (mu/nu for INOM, backtrack counts for
-    the accelerated algorithms).
+    The returned callable maps ``(V, state, f)``, where ``f`` is the
+    objective of ``state`` and ``v_sq`` is ``||V||_F**2``, to
+    ``(new_state, info)``. ``info["objective"]`` is the objective of
+    ``new_state``; ``info`` also carries step diagnostics (mu/nu for INOM,
+    backtrack counts for the accelerated algorithms).
     """
     floor = config.positivity_floor
     alg = config.algorithm
 
     if alg is Algorithm.INOM:
-        step = _inom_step
+
+        def step(V, state, f):
+            return inom_iterate(V, state, v_sq=v_sq)
 
     elif alg is Algorithm.PARINOM:
 
-        def step(V, state):
-            return parinom_iterate(V, state, floor=floor), {}
+        def step(V, state, f):
+            return parinom_iterate(V, state, floor=floor, v_sq=v_sq)
 
     elif alg is Algorithm.MU:
 
-        def step(V, state):
-            return mu_iterate(V, state, floor=floor), {}
+        def step(V, state, f):
+            return mu_iterate(V, state, floor=floor, v_sq=v_sq)
 
     elif alg is Algorithm.FAST_HALS:
 
-        def step(V, state):
-            return fast_hals_iterate(V, state, floor=floor), {}
+        def step(V, state, f):
+            return fast_hals_iterate(V, state, floor=floor, v_sq=v_sq)
 
     elif alg in (Algorithm.ACC_PARINOM, Algorithm.ACC_MU):
         from . import squarem
@@ -398,9 +451,11 @@ def iteration_stepper(
             else squarem.mu_map(floor=floor)
         )
 
-        def step(V, state):
-            pair, accel = squarem.squarem_step(V, state, fp_map, floor=floor)
-            return pair, {"backtracks": accel.backtracks}
+        def step(V, state, f):
+            pair, accel = squarem.squarem_step(
+                V, state, fp_map, floor=floor, f0=f, v_sq=v_sq
+            )
+            return pair, {"objective": accel.objective, "backtracks": accel.backtracks}
 
     else:  # pragma: no cover - enum is closed
         raise ContractViolationError(f"unknown algorithm {alg!r}")
@@ -441,9 +496,17 @@ def solve(
     -------
     (FactorPair, IterationTrace)
         Final factors and the full objective/timing trace. The objective
-        sequence in the trace is non-increasing. ``trace.converged`` is true
-        when the stopping rule held (with ``target_fraction``: the target was
-        reached) and false when the iteration cap ended the solve.
+        sequence in the trace is non-increasing. ``trace.stop_reason`` is
+        ``"tol"``, ``"target"`` or ``"max_iters"``; ``trace.converged`` is
+        true for the first two.
+
+    Notes
+    -----
+    ``||V||_F**2`` is computed once per solve, and each iteration's objective
+    comes from the iteration map in Gram form (:func:`linalg.gram_objective`),
+    accurate to about ``eps * ||V||_F**2``. The objective of iterate 0, and
+    any value below ``linalg.GRAM_EXACT_BELOW * ||V||_F**2``, is the exact
+    :func:`linalg.frobenius_residual`.
     """
     V = linalg.as_matrix(V, "V")
     linalg.require_nonnegative(V, "V")
@@ -465,7 +528,7 @@ def solve(
         linalg.require_nonnegative(init.H, "init H")
         state = init.copy()
 
-    step = iteration_stepper(config)
+    step = iteration_stepper(config, float(np.vdot(V, V)))
     trace = IterationTrace()
     f_prev = linalg.frobenius_residual(V, state.W, state.H)
     if not np.isfinite(f_prev):
@@ -474,9 +537,10 @@ def solve(
     target = None if config.target_fraction is None else config.target_fraction * f_prev
 
     t0 = time.perf_counter()
+    trace.stop_reason = "max_iters"
     for k in range(1, config.max_iters + 1):
-        state, info = step(V, state)
-        f_k = linalg.frobenius_residual(V, state.W, state.H)
+        state, info = step(V, state, f_prev)
+        f_k = info["objective"]
         if not np.isfinite(f_k):
             raise NumericalFailureError(
                 f"objective became non-finite at iteration {k}", iteration=k
@@ -494,12 +558,12 @@ def solve(
         if callback is not None:
             callback(k, state)
         if target is not None:
-            done = f_k <= target
+            done, reason = f_k <= target, "target"
         else:
             rel_change = abs(f_k - f_prev) / f_prev if f_prev > 0.0 else 0.0
-            done = rel_change <= config.tol
+            done, reason = rel_change <= config.tol, "tol"
         if done:
-            trace.converged = True
+            trace.stop_reason = reason
             break
         f_prev = f_k
     return state, trace

@@ -7,9 +7,13 @@ the candidate is exactly the two-step iterate, so backtracking always
 terminates because the wrapped map itself never increases the objective.
 
 The objective serves only as the descent test on each candidate (Varadhan &
-Roland, Scand. J. Statist. 35(2), 2008). A step evaluates it once at the
-start point, once per candidate and once at the two-step iterate; the
-accepted candidate's value is kept for the final comparison.
+Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
+value from the caller (``solve`` already holds it) and the two-step
+iterate's value from the wrapped map. Each extrapolated candidate costs one
+Gram-form evaluation (:func:`linalg.gram_objective`), whose only O(nmr)
+product is ``W^T V``. No step builds the n x m residual, except where the
+Gram form falls back to the exact value near a perfect fit. The accepted
+candidate's value is returned in :class:`AccelState`.
 """
 
 from __future__ import annotations
@@ -49,29 +53,37 @@ _ALPHA_SNAP = 1e-12
 class FixedPointMap:
     """A single-step NMF iteration map.
 
-    ``step`` must never increase the Frobenius objective; that property is
-    what guarantees the backtracking loop terminates.
+    ``step(V, pair)`` returns ``(next pair, info)``, as the maps of
+    :mod:`nmfkit.solvers` do; ``step(V, pair, v_sq=...)`` also fills
+    ``info["objective"]``. ``step`` must never increase the Frobenius
+    objective; that property is what guarantees the backtracking loop
+    terminates.
     """
 
-    step: Callable[[np.ndarray, FactorPair], FactorPair]
+    step: Callable[..., tuple[FactorPair, dict]]
 
 
 def parinom_map(floor: float = DEFAULT_FLOOR) -> FixedPointMap:
-    return FixedPointMap(step=lambda V, pair: parinom_iterate(V, pair, floor=floor))
+    return FixedPointMap(
+        step=lambda V, pair, **kw: parinom_iterate(V, pair, floor=floor, **kw)
+    )
 
 
 def mu_map(floor: float = DEFAULT_FLOOR) -> FixedPointMap:
-    return FixedPointMap(step=lambda V, pair: mu_iterate(V, pair, floor=floor))
+    return FixedPointMap(
+        step=lambda V, pair, **kw: mu_iterate(V, pair, floor=floor, **kw)
+    )
 
 
 @dataclass(frozen=True)
 class AccelState:
-    """Outcome of one accelerated step."""
+    """Outcome of one accelerated step; ``objective`` is that of ``pair``."""
 
     pair: FactorPair
     alpha_w: float
     alpha_h: float
     backtracks: int
+    objective: float
 
 
 def _frob(M: np.ndarray) -> float:
@@ -83,6 +95,8 @@ def squarem_step(
     state: FactorPair,
     fp_map: FixedPointMap,
     *,
+    f0: float,
+    v_sq: float,
     floor: float = DEFAULT_FLOOR,
     force_alpha: float | None = None,
 ) -> tuple[FactorPair, AccelState]:
@@ -100,12 +114,14 @@ def squarem_step(
     to simply applying the map twice.
 
     ``force_alpha`` pins both alphas (useful for checking the alpha = -1
-    identity, which reproduces the two-step iterate exactly).
+    identity, which reproduces the two-step iterate exactly). ``f0`` is the
+    objective of ``state`` and ``v_sq`` is ``||V||_F**2``; ``solve`` already
+    holds both.
     """
     x0 = state
-    f0 = linalg.frobenius_residual(V, x0.W, x0.H)
-    x1 = fp_map.step(V, x0)
-    x2 = fp_map.step(V, x1)
+    x1, _ = fp_map.step(V, x0)
+    x2, info = fp_map.step(V, x1, v_sq=v_sq)
+    f2 = info["objective"]
 
     rw = x1.W - x0.W
     vw = x2.W - x1.W - rw
@@ -122,19 +138,21 @@ def squarem_step(
     if force_alpha is not None:
         alpha_w = alpha_h = force_alpha
 
-    def build(aw: float, ah: float) -> FactorPair:
+    def build(aw: float, ah: float) -> tuple[FactorPair, float]:
         w_is_x2 = degen_w or aw == -1.0
         h_is_x2 = degen_h or ah == -1.0
         if w_is_x2 and h_is_x2:
             # Return the two-step iterate verbatim (already normalized);
             # renormalizing would perturb it at roundoff level.
-            return x2.copy()
+            return x2.copy(), f2
         Wc = x2.W if w_is_x2 else np.maximum(floor, x0.W - 2.0 * aw * rw + aw * aw * vw)
         Hc = x2.H if h_is_x2 else np.maximum(floor, x0.H - 2.0 * ah * rh + ah * ah * vh)
-        return FactorPair(*normalize_pair(Wc, Hc))
+        Wc, Hc = normalize_pair(Wc, Hc)
+        cross = float(np.vdot(Wc.T @ V, Hc))
+        f = linalg.gram_objective(V, Wc, Hc, v_sq, cross, Wc.T @ Wc, Hc @ Hc.T)
+        return FactorPair(Wc, Hc), f
 
-    candidate = build(alpha_w, alpha_h)
-    f_candidate = linalg.frobenius_residual(V, candidate.W, candidate.H)
+    candidate, f_candidate = build(alpha_w, alpha_h)
     backtracks = 0
     while f_candidate > f0:
         pinned_w = degen_w or alpha_w == -1.0
@@ -156,14 +174,17 @@ def squarem_step(
             if abs(alpha_h + 1.0) < _ALPHA_SNAP:
                 alpha_h = -1.0
         backtracks += 1
-        candidate = build(alpha_w, alpha_h)
-        f_candidate = linalg.frobenius_residual(V, candidate.W, candidate.H)
+        candidate, f_candidate = build(alpha_w, alpha_h)
 
     # Never finish worse than the plain two-step iterate.
-    if f_candidate > linalg.frobenius_residual(V, x2.W, x2.H):
-        candidate = x2.copy()
+    if f_candidate > f2:
+        candidate, f_candidate = x2.copy(), f2
         alpha_w = alpha_h = -1.0
 
     return candidate, AccelState(
-        pair=candidate, alpha_w=alpha_w, alpha_h=alpha_h, backtracks=backtracks
+        pair=candidate,
+        alpha_w=alpha_w,
+        alpha_h=alpha_h,
+        backtracks=backtracks,
+        objective=f_candidate,
     )

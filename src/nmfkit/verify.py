@@ -60,8 +60,15 @@ def _suite_monotonicity(seed: int, quick: bool) -> SuiteResult:
             config = SolverConfig(
                 algorithm=alg, rank=r, tol=1e-15, max_iters=iters, seed=derive_seed(seed, 11, i)
             )
-            _, trace = solvers.solve(V, config)
-            f = trace.objectives
+            # The exact residual at every iterate (the trace holds it only at
+            # iterate 0), so a wrong Gram formula cannot pass this check.
+            exact = []
+
+            def record(k, s):
+                exact.append(linalg.frobenius_residual(V, s.W, s.H))
+
+            _, trace = solvers.solve(V, config, callback=record)
+            f = np.array([trace.objectives[0], *exact])
             bad = np.flatnonzero(f[1:] > f[:-1] + MONOTONE_SLACK * np.maximum(1.0, f[:-1]))
             result.record(
                 bad.size == 0,
@@ -98,10 +105,10 @@ def _suite_fixed_point(seed: int, quick: bool) -> SuiteResult:
     result = SuiteResult("fixed-point")
     instances = 2 if quick else 5
     maps = {
-        "inom": lambda V, s: solvers.inom_iterate(V, s),
-        "parinom": lambda V, s: solvers.parinom_iterate(V, s),
-        "mu": lambda V, s: solvers.mu_iterate(V, s),
-        "fast-hals": lambda V, s: solvers.fast_hals_iterate(V, s),
+        "inom": solvers.inom_iterate,
+        "parinom": solvers.parinom_iterate,
+        "mu": solvers.mu_iterate,
+        "fast-hals": solvers.fast_hals_iterate,
     }
     for i in range(instances):
         rng = np.random.default_rng(derive_seed(seed, 30, i))
@@ -110,7 +117,7 @@ def _suite_fixed_point(seed: int, quick: bool) -> SuiteResult:
         H = rng.uniform(0.5, 1.5, size=(r, m))
         V = W @ H
         for name, step in maps.items():
-            out = step(V, FactorPair(W.copy(), H.copy()))
+            out, _ = step(V, FactorPair(W.copy(), H.copy()))
             drift = max(
                 float(np.abs(out.W - W).max()), float(np.abs(out.H - H).max())
             )
@@ -146,8 +153,9 @@ def _suite_parallel_equivalence(seed: int, quick: bool) -> SuiteResult:
         rng = np.random.default_rng(derive_seed(seed, 51, i))
         W = linalg.normalize_columns(rng.uniform(0.1, 1.0, size=(V.shape[0], r)))
         H = rng.uniform(0.1, 1.0, size=(r, V.shape[1]))
-        seq = solvers.parinom_iterate(V, FactorPair(W.copy(), H.copy()), parallel=False)
-        par = solvers.parinom_iterate(V, FactorPair(W.copy(), H.copy()), parallel=True)
+        pair = FactorPair(W, H)
+        seq, _ = solvers.parinom_iterate(V, pair.copy(), parallel=False)
+        par, _ = solvers.parinom_iterate(V, pair.copy(), parallel=True)
         same = np.array_equal(seq.W, par.W) and np.array_equal(seq.H, par.H)
         result.record(
             same, f"instance={i} concurrent update differed from sequential"

@@ -123,7 +123,7 @@ def test_criterion_05_fixed_point_suite():
     for i in range(10):
         V, pair = planted_instance(7000 + i, n=8, m=10, r=3)
         for _, step in maps:
-            out = step(V, pair.copy())
+            out, _ = step(V, pair.copy())
             worst = max(
                 worst,
                 float(np.abs(out.W - pair.W).max()),
@@ -136,8 +136,8 @@ def test_criterion_06_parallel_equivalence():
     identical = True
     for i in range(20):
         V, pair = random_instance(8000 + i)
-        seq = parinom_iterate(V, pair.copy(), parallel=False)
-        par = parinom_iterate(V, pair.copy(), parallel=True)
+        seq, _ = parinom_iterate(V, pair.copy(), parallel=False)
+        par, _ = parinom_iterate(V, pair.copy(), parallel=True)
         identical = identical and np.array_equal(seq.W, par.W) and np.array_equal(
             seq.H, par.H
         )
@@ -151,21 +151,23 @@ def test_criterion_07_squarem_identity_and_dominance():
     monotone = True
     for i in range(20):
         V, start = random_instance(9000 + i)
-        x1 = fp.step(V, start)
-        x2 = fp.step(V, x1)
-        forced, _ = squarem_step(V, start, fp, force_alpha=-1.0)
+        v_sq = float(np.vdot(V, V))
+        x1, _ = fp.step(V, start)
+        x2, _ = fp.step(V, x1)
+        f0 = linalg.frobenius_residual(V, start.W, start.H)
+        forced, _ = squarem_step(V, start, fp, f0=f0, v_sq=v_sq, force_alpha=-1.0)
         exact = exact and np.array_equal(forced.W, x2.W) and np.array_equal(
             forced.H, x2.H
         )
         plain = [linalg.frobenius_residual(V, start.W, start.H)]
         s = start.copy()
         for _ in range(100):
-            s = parinom_iterate(V, s)
+            s, _ = parinom_iterate(V, s)
             plain.append(linalg.frobenius_residual(V, s.W, s.H))
         s = start.copy()
         f_prev = plain[0]
         for k in range(1, 51):
-            s, _ = squarem_step(V, s, fp)
+            s, _ = squarem_step(V, s, fp, f0=f_prev, v_sq=v_sq)
             f = linalg.frobenius_residual(V, s.W, s.H)
             monotone = monotone and f <= f_prev + 1e-9 * max(1.0, f_prev)
             worst_gap = max(worst_gap, f - plain[2 * k] - 1e-9)

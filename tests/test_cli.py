@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,6 +44,7 @@ class TestFactorize:
         assert final <= 1e-12
         out = capsys.readouterr().out
         assert "final_objective: " in out
+        assert "stop_reason: tol\n" in out
         assert "combined: " in out
 
     @pytest.mark.parametrize("algo", ["inom", "fast-hals"])
@@ -168,6 +173,38 @@ class TestFactorize:
         inp = write_csv(tmp_path / "v.csv", np.ones((2, 2)))
         code = main(["factorize", inp, "--rank", "1"])
         assert code == EXIT_NUMERICAL
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("algo", ["inom", "acc-mu"])
+    def test_factorize_outputs_repeat_in_fresh_processes(self, tmp_path, algo):
+        # Outputs are bitwise repeatable per BLAS thread count, so pin it.
+        rng = np.random.default_rng(24)
+        inp = write_csv(tmp_path / "v.csv", rng.uniform(100.0, 200.0, (40, 60)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        runs = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            out.mkdir()
+            subprocess.run(
+                [
+                    sys.executable, "-m", "nmfkit.cli", "factorize", inp,
+                    "--rank", "3", "--algo", algo, "--normalize", "--seed", "5",
+                    "--out-w", str(out / "W.csv"), "--out-h", str(out / "H.csv"),
+                    "--trace", str(out / "trace.csv"),
+                ],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            trace = [
+                line.rsplit(",", 1)[0]
+                for line in (out / "trace.csv").read_text().splitlines()
+            ]
+            runs.append(
+                ((out / "W.csv").read_bytes(), (out / "H.csv").read_bytes(), trace)
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][2][0] == "iter,objective"
+        assert len(runs[0][2]) > 2
 
 
 class TestBench:

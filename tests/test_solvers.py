@@ -30,10 +30,10 @@ from _util import planted_instance, random_instance
 
 ALL = list(Algorithm)
 BASE_MAPS = {
-    "inom": lambda V, s: inom_iterate(V, s),
-    "parinom": lambda V, s: parinom_iterate(V, s),
-    "mu": lambda V, s: mu_iterate(V, s),
-    "fast-hals": lambda V, s: fast_hals_iterate(V, s),
+    "inom": inom_iterate,
+    "parinom": parinom_iterate,
+    "mu": mu_iterate,
+    "fast-hals": fast_hals_iterate,
 }
 
 
@@ -69,12 +69,12 @@ class TestInomUpdates:
 
     def test_w_gradient_vanishes_at_fit(self):
         V, pair = planted_instance(1)
-        Wn, _ = inom_update_w(V, pair.W, pair.H)
+        Wn, *_ = inom_update_w(V, pair.W, pair.H)
         assert np.abs(Wn - pair.W).max() <= 1e-12
 
     def test_w_scalar_example(self):
         V, W, H = np.array([[2.0]]), np.array([[1.0]]), np.array([[2.0]])
-        Wn, nu = inom_update_w(V, W, H)
+        Wn, nu, *_ = inom_update_w(V, W, H)
         assert nu == 8.0
         assert Wn == np.array([[1.0]])
 
@@ -83,7 +83,7 @@ class TestInomUpdates:
         V = rng.uniform(0.5, 1.5, (5, 7))
         W = rng.uniform(0.1, 1.0, (5, 3))
         H = rng.uniform(0.1, 1.0, (3, 7))
-        Wn, _ = inom_update_w(V, W, H)
+        Wn, *_ = inom_update_w(V, W, H)
         assert linalg.frobenius_residual(V, Wn, H) <= linalg.frobenius_residual(
             V, W, H
         )
@@ -118,7 +118,7 @@ class TestInomUpdates:
 class TestInomIterate:
     def test_fixed_point(self):
         V, pair = planted_instance(2)
-        out = inom_iterate(V, pair)
+        out, _ = inom_iterate(V, pair)
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
@@ -128,13 +128,13 @@ class TestInomIterate:
         config = SolverConfig(algorithm=Algorithm.INOM, rank=1, seed=11)
         state = initial_factors(V, config)
         f0 = objective(V, state)
-        f1 = objective(V, inom_iterate(V, state))
+        f1 = objective(V, inom_iterate(V, state)[0])
         assert f1 < f0
 
     def test_output_satisfies_invariants(self):
         for i in range(5):
             V, pair = random_instance(200 + i)
-            out = inom_iterate(V, pair)
+            out, _ = inom_iterate(V, pair)
             out.validate()
 
 
@@ -144,21 +144,21 @@ class TestParinom:
         Wn, Hn = parinom_update(V, W, H)
         assert abs(Wn[0, 0] - 2.0**0.25) <= 1e-15
         assert abs(Hn[0, 0] - 2.0**0.25) <= 1e-15
-        out = parinom_iterate(V, FactorPair(W, H))
+        out, _ = parinom_iterate(V, FactorPair(W, H))
         f = linalg.frobenius_residual(V, out.W, out.H)
         assert abs(f - (2.0 - math.sqrt(2.0)) ** 2) <= 1e-12
 
     def test_fixed_point(self):
         V, pair = planted_instance(3)
-        out = parinom_iterate(V, pair)
+        out, _ = parinom_iterate(V, pair)
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
     def test_parallel_equals_sequential_exactly(self):
         for i in range(20):
             V, pair = random_instance(300 + i)
-            seq = parinom_iterate(V, pair.copy(), parallel=False)
-            par = parinom_iterate(V, pair.copy(), parallel=True)
+            seq, _ = parinom_iterate(V, pair.copy(), parallel=False)
+            par, _ = parinom_iterate(V, pair.copy(), parallel=True)
             assert np.array_equal(seq.W, par.W)
             assert np.array_equal(seq.H, par.H)
 
@@ -177,7 +177,7 @@ class TestParinom:
         for i in range(5):
             V, pair = random_instance(400 + i)
             f0 = objective(V, pair)
-            out = parinom_iterate(V, pair)
+            out, _ = parinom_iterate(V, pair)
             assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
 
     def test_zero_floor_zero_denominator_raises(self):
@@ -191,13 +191,13 @@ class TestParinom:
 class TestMu:
     def test_fixed_point(self):
         V, pair = planted_instance(4)
-        out = mu_iterate(V, pair)
+        out, _ = mu_iterate(V, pair)
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
     def test_scalar_example_reaches_exact_fit(self):
         V = np.array([[2.0]])
-        out = mu_iterate(V, FactorPair(np.array([[1.0]]), np.array([[1.0]])))
+        out, _ = mu_iterate(V, FactorPair(np.array([[1.0]]), np.array([[1.0]])))
         assert out.W == np.array([[1.0]])
         assert out.H == np.array([[2.0]])
         assert linalg.frobenius_residual(V, out.W, out.H) == 0.0
@@ -206,13 +206,13 @@ class TestMu:
         for i in range(5):
             V, pair = random_instance(500 + i)
             f0 = objective(V, pair)
-            assert objective(V, mu_iterate(V, pair)) <= f0 + 1e-9 * max(1.0, f0)
+            assert objective(V, mu_iterate(V, pair)[0]) <= f0 + 1e-9 * max(1.0, f0)
 
 
 class TestFastHals:
     def test_fixed_point(self):
         V, pair = planted_instance(5)
-        out = fast_hals_iterate(V, pair)
+        out, _ = fast_hals_iterate(V, pair)
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
@@ -226,7 +226,7 @@ class TestFastHals:
             V = np.maximum(V, 0.0)
             w = linalg.normalize_columns(rng.uniform(0.1, 1.0, (6, 1)))
             h = rng.uniform(0.1, 1.0, (1, 8))
-            out = fast_hals_iterate(V, FactorPair(w, h))
+            out, _ = fast_hals_iterate(V, FactorPair(w, h))
             h_star = np.maximum(0.0, (V.T @ w[:, 0]) / (w[:, 0] @ w[:, 0]))
             assert np.abs(out.H[0] - h_star).max() <= 1e-10
             w_raw = np.maximum(0.0, V @ h_star)
@@ -237,7 +237,7 @@ class TestFastHals:
         for i in range(5):
             V, pair = random_instance(700 + i)
             f0 = objective(V, pair)
-            out = fast_hals_iterate(V, pair)
+            out, _ = fast_hals_iterate(V, pair)
             assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
             out.validate()
 
@@ -258,7 +258,7 @@ class TestFixedPointAllMaps:
         for i in range(5):
             V, pair = planted_instance(800 + i, n=8, m=10, r=3)
             for name, step in BASE_MAPS.items():
-                out = step(V, pair.copy())
+                out, _ = step(V, pair.copy())
                 drift = max(
                     np.abs(out.W - pair.W).max(), np.abs(out.H - pair.H).max()
                 )
@@ -335,6 +335,27 @@ class TestSolve:
         _, trace = solve(V, config)
         assert len(trace) == 2
         assert trace.converged
+        assert trace.stop_reason == "tol"
+
+    def test_stop_reason_target(self):
+        V = np.random.default_rng(12).uniform(0.5, 1.5, (5, 6))
+        config = SolverConfig(
+            algorithm=Algorithm.MU, rank=2, tol=math.inf, target_fraction=0.99, seed=3
+        )
+        _, trace = solve(V, config)
+        assert trace.stop_reason == "target"
+        assert trace.converged
+        assert trace.final_objective <= 0.99 * trace.objectives[0]
+
+    def test_stop_reason_max_iters(self):
+        V = np.random.default_rng(12).uniform(0.5, 1.5, (5, 6))
+        config = SolverConfig(
+            algorithm=Algorithm.ACC_MU, rank=2, tol=1e-300, max_iters=3, seed=3
+        )
+        _, trace = solve(V, config)
+        assert trace.stop_reason == "max_iters"
+        assert not trace.converged
+        assert trace.iterations == 3
 
     def test_sim1_all_algorithms_monotone_same_start(self):
         rng = np.random.default_rng(13)
@@ -397,3 +418,42 @@ class TestSolve:
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.H, b.H)
         a.validate()
+
+
+class TestTraceObjective:
+    """The trace's Gram-form objectives against the exact residual."""
+
+    @staticmethod
+    def _check(V, config):
+        exact = []
+        _, trace = solve(
+            V, config, callback=lambda k, s: exact.append(objective(V, s))
+        )
+        recorded = trace.objectives[1:]
+        threshold = linalg.GRAM_EXACT_BELOW * float(np.vdot(V, V))
+        assert len(recorded) == len(exact)
+        for k, (rec, ex) in enumerate(zip(recorded, exact), start=1):
+            assert rec >= 0.0, (config.algorithm, k)
+            if rec < threshold:
+                assert rec == ex, (config.algorithm, k)
+            else:
+                assert abs(rec - ex) <= 1e-10 * ex, (config.algorithm, k)
+        return recorded.min() < threshold
+
+    @pytest.mark.parametrize("alg", ALL)
+    def test_column_normalized_instance(self, alg):
+        V, _ = random_instance(30, n=20, m=30)
+        config = SolverConfig(algorithm=alg, rank=4, tol=1e-10, max_iters=300, seed=31)
+        self._check(V, config)
+
+    @pytest.mark.parametrize("alg", ALL)
+    def test_unnormalized_instance_with_large_norm(self, alg):
+        V = np.random.default_rng(32).uniform(100.0, 200.0, (20, 30))
+        config = SolverConfig(algorithm=alg, rank=4, tol=1e-10, max_iters=300, seed=33)
+        self._check(V, config)
+
+    @pytest.mark.parametrize("alg", ALL)
+    def test_planted_instance_reaches_exact_fallback(self, alg):
+        V, _ = planted_instance(900)
+        config = SolverConfig(algorithm=alg, rank=2, tol=1e-14, max_iters=1500, seed=15)
+        assert self._check(V, config)

@@ -11,10 +11,16 @@ def objective(V, pair):
     return linalg.frobenius_residual(V, pair.W, pair.H)
 
 
+def accelerate(V, pair, fp, **kw):
+    # squarem_step takes f0 and ||V||^2 from its caller; here both are exact.
+    f0, v_sq = objective(V, pair), float(np.vdot(V, V))
+    return squarem_step(V, pair, fp, f0=f0, v_sq=v_sq, **kw)
+
+
 class TestSquaremStep:
     def test_fixed_point_returns_two_step_iterate(self):
         V, pair = planted_instance(0, n=6, m=8, r=2)
-        out, accel = squarem_step(V, pair, parinom_map())
+        out, accel = accelerate(V, pair, parinom_map())
         # r and v vanish, the degenerate fallback returns the two-step value,
         # which at a fixed point is the starting state.
         assert np.abs(out.W - pair.W).max() <= 1e-12
@@ -28,7 +34,7 @@ class TestSquaremStep:
         # coincide and the accelerated result is that same fixed point.
         V = np.array([[2.0]])
         state = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
-        out, _ = squarem_step(V, state, mu_map())
+        out, _ = accelerate(V, state, mu_map())
         assert out.W == np.array([[1.0]])
         assert out.H == np.array([[2.0]])
         assert objective(V, out) == 0.0
@@ -37,9 +43,9 @@ class TestSquaremStep:
         for i in range(5):
             V, pair = random_instance(100 + i)
             fp = parinom_map()
-            x1 = fp.step(V, pair)
-            x2 = fp.step(V, x1)
-            out, accel = squarem_step(V, pair, fp, force_alpha=-1.0)
+            x1, _ = fp.step(V, pair)
+            x2, _ = fp.step(V, x1)
+            out, accel = accelerate(V, pair, fp, force_alpha=-1.0)
             assert np.array_equal(out.W, x2.W)
             assert np.array_equal(out.H, x2.H)
             assert isinstance(accel, AccelState)
@@ -53,12 +59,12 @@ class TestSquaremStep:
             plain = [objective(V, start)]
             s = start.copy()
             for _ in range(100):
-                s = parinom_iterate(V, s)
+                s, _ = parinom_iterate(V, s)
                 plain.append(objective(V, s))
             s = start.copy()
             f_prev = objective(V, s)
             for k in range(1, 51):
-                s, _ = squarem_step(V, s, fp)
+                s, _ = accelerate(V, s, fp)
                 f = objective(V, s)
                 assert f <= f_prev + 1e-9 * max(1.0, f_prev)
                 assert f <= plain[2 * k] + 1e-9
@@ -68,7 +74,7 @@ class TestSquaremStep:
         total = 0
         for i in range(10):
             V, pair = random_instance(300 + i)
-            _, accel = squarem_step(V, pair, parinom_map())
+            _, accel = accelerate(V, pair, parinom_map())
             assert accel.backtracks >= 0
             assert accel.alpha_w <= 0.0
             assert accel.alpha_h <= 0.0
