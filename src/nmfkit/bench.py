@@ -32,17 +32,13 @@ from .solvers import (
 
 __all__ = [
     "MatrixKind",
-    "BenchScenario",
-    "TrialRow",
     "BenchResults",
     "run_scenario",
     "derive_seed",
-    "ALL_ALGORITHMS",
     "sim1_run",
     "sim1_write_outputs",
     "sim2_scenario",
     "sim3_scenarios",
-    "write_objective_svg",
 ]
 
 ALL_ALGORITHMS = (

@@ -22,18 +22,7 @@ from . import linalg
 from .errors import ContractViolationError, ShapeError
 from .solvers import Algorithm, FactorPair
 
-__all__ = [
-    "KktReport",
-    "nmf_gradients",
-    "kkt_residual",
-    "inom_h_surrogate",
-    "inom_w_surrogate",
-    "parinom_surrogate",
-    "sigmoidal_upper_bound",
-    "SurrogateCheck",
-    "MajorizationReport",
-    "audit_majorization",
-]
+__all__ = ["kkt_residual", "audit_majorization"]
 
 
 @dataclass(frozen=True)

@@ -184,15 +184,15 @@ def read_matrix_csv(path) -> np.ndarray:
         ) from None
     if rows <= 0 or cols <= 0:
         raise CsvFormatError(f"dimensions must be positive, got {rows}x{cols}", line=1)
-    body = [ln for ln in lines[1:] if ln.strip() != ""]
+    # Blank lines are skipped, but every row keeps its line number in the file.
+    body = [(k, ln) for k, ln in enumerate(lines[1:], start=2) if ln.strip() != ""]
     if len(body) != rows:
         raise CsvFormatError(
             f"expected {rows} data rows, found {len(body)}", line=len(lines)
         )
     out = np.empty((rows, cols), dtype=np.float64)
-    for i, ln in enumerate(body):
+    for i, (lineno, ln) in enumerate(body):
         parts = ln.split(",")
-        lineno = i + 2
         if len(parts) != cols:
             raise CsvFormatError(
                 f"expected {cols} values, found {len(parts)}", line=lineno
@@ -204,6 +204,7 @@ def read_matrix_csv(path) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise CsvFormatError(
-            f"value {j + 1} is {out[i, j]!r}; entries must be finite", line=i + 2
+            f"value {j + 1} is {float(out[i, j])!r}; entries must be finite",
+            line=body[i][0],
         )
     return out

@@ -12,10 +12,12 @@ Conventions kept by every full iteration:
     renormalizes each column inside its sweep, where the unit-norm update is
     itself the exact block minimizer.
 
-A full iteration map returns ``(pair, info)``. Given ``v_sq = ||V||_F**2``
-as a keyword, ``info["objective"]`` is the objective of ``pair``, formed in
-Gram form (:func:`linalg.gram_objective`) from products the step has
-already computed; without it the objective is not evaluated.
+Every full iteration map has one signature, ``(V, pair, *, v_sq=None) ->
+(pair, info)``. Given ``v_sq = ||V||_F**2``, ``info["objective"]`` is the
+objective of ``pair``, formed in Gram form (:func:`linalg.gram_objective`)
+from products the step has already computed; without it the objective is
+not evaluated. The multiplicative maps and Fast-HALS floor their entries at
+the fixed constant :data:`POSITIVITY_FLOOR`.
 """
 
 from __future__ import annotations
@@ -49,17 +51,18 @@ __all__ = [
     "inom_update_h",
     "inom_update_w",
     "inom_iterate",
-    "parinom_update",
     "parinom_iterate",
     "mu_iterate",
     "fast_hals_iterate",
-    "iteration_stepper",
     "solve",
 ]
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 5000
-DEFAULT_FLOOR = 1e-12
+# Lower bound on every entry a multiplicative or Fast-HALS update produces:
+# a numerical guard that keeps the next ratio update defined, not a
+# parameter of the method.
+POSITIVITY_FLOOR = 1e-12
 
 
 class Algorithm(Enum):
@@ -79,7 +82,6 @@ class SolverConfig:
     rank: int
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    positivity_floor: float = DEFAULT_FLOOR
     seed: int = 0
     target_fraction: Optional[float] = None
 
@@ -95,10 +97,6 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ContractViolationError(
                 f"max_iters must be >= 1, got {self.max_iters}"
-            )
-        if not self.positivity_floor > 0:
-            raise ContractViolationError(
-                f"positivity_floor must be > 0, got {self.positivity_floor}"
             )
 
 
@@ -283,28 +281,29 @@ def _parinom_products(V, W, H):
     return VHt, WHHt, WtV, WtWH
 
 
-def _quarter_power_step(numerator, denominator, X, floor, what):
+def _quarter_power_step(numerator, denominator, X, what):
     if np.any(denominator == 0.0):
         raise PositivityError(
             f"zero denominator entry in the {what} update; factors must stay "
-            "strictly positive (is the positivity floor set to 0?)"
+            "strictly positive"
         )
-    return np.maximum(floor, ((numerator * X**4) / denominator) ** 0.25)
+    return np.maximum(POSITIVITY_FLOOR, ((numerator * X**4) / denominator) ** 0.25)
 
 
-def parinom_update(V, W, H, *, floor: float = DEFAULT_FLOOR):
+def parinom_update(V, W, H):
     """Raw PARINOM quarter-power maps, before any normalization.
 
     W' = ((V H^T  o W^4) / (W H H^T))^(1/4)
     H' = ((W^T V o H^4) / (W^T W H))^(1/4)
 
     Both are computed entirely from the incoming (W, H), so they are mutually
-    independent. Entries are floored at ``floor`` afterwards because the
-    multiplicative form needs strictly positive factors on the next call.
+    independent. Entries are floored at ``POSITIVITY_FLOOR`` afterwards
+    because the multiplicative form needs strictly positive factors on the
+    next call.
     """
     VHt, WHHt, WtV, WtWH = _parinom_products(V, W, H)
-    Wn = _quarter_power_step(VHt, WHHt, W, floor, "W")
-    Hn = _quarter_power_step(WtV, WtWH, H, floor, "H")
+    Wn = _quarter_power_step(VHt, WHHt, W, "W")
+    Hn = _quarter_power_step(WtV, WtWH, H, "H")
     return Wn, Hn
 
 
@@ -312,7 +311,6 @@ def parinom_iterate(
     V,
     state: FactorPair,
     *,
-    floor: float = DEFAULT_FLOOR,
     parallel: bool = False,
     v_sq: Optional[float] = None,
 ) -> tuple[FactorPair, dict]:
@@ -331,12 +329,12 @@ def parinom_iterate(
     VHt, WHHt, WtV, WtWH = _parinom_products(V, W, H)
     if parallel:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            fw = pool.submit(_quarter_power_step, VHt, WHHt, W, floor, "W")
-            fh = pool.submit(_quarter_power_step, WtV, WtWH, H, floor, "H")
+            fw = pool.submit(_quarter_power_step, VHt, WHHt, W, "W")
+            fh = pool.submit(_quarter_power_step, WtV, WtWH, H, "H")
             Wn, Hn = fw.result(), fh.result()
     else:
-        Wn = _quarter_power_step(VHt, WHHt, W, floor, "W")
-        Hn = _quarter_power_step(WtV, WtWH, H, floor, "H")
+        Wn = _quarter_power_step(VHt, WHHt, W, "W")
+        Hn = _quarter_power_step(WtV, WtWH, H, "H")
     pair = FactorPair(*normalize_pair(Wn, Hn))
     if v_sq is None:
         return pair, {}
@@ -346,7 +344,7 @@ def parinom_iterate(
 
 
 def mu_iterate(
-    V, state: FactorPair, *, floor: float = DEFAULT_FLOOR, v_sq: Optional[float] = None
+    V, state: FactorPair, *, v_sq: Optional[float] = None
 ) -> tuple[FactorPair, dict]:
     """Multiplicative-update iteration: W ratio step, then H ratio step.
 
@@ -359,13 +357,13 @@ def mu_iterate(
     den_w = W @ (H @ H.T)
     if np.any(den_w == 0.0):
         raise PositivityError("zero denominator entry in the MU W update")
-    Wn = np.maximum(floor, W * ((V @ H.T) / den_w))
+    Wn = np.maximum(POSITIVITY_FLOOR, W * ((V @ H.T) / den_w))
     WtW = Wn.T @ Wn
     den_h = WtW @ H
     if np.any(den_h == 0.0):
         raise PositivityError("zero denominator entry in the MU H update")
     WtV = Wn.T @ V
-    Hn = np.maximum(floor, H * (WtV / den_h))
+    Hn = np.maximum(POSITIVITY_FLOOR, H * (WtV / den_h))
     pair = FactorPair(*normalize_pair(Wn, Hn))
     if v_sq is None:
         return pair, {}
@@ -375,7 +373,7 @@ def mu_iterate(
 
 
 def fast_hals_iterate(
-    V, state: FactorPair, *, floor: float = DEFAULT_FLOOR, v_sq: Optional[float] = None
+    V, state: FactorPair, *, v_sq: Optional[float] = None
 ) -> tuple[FactorPair, dict]:
     """One Fast-HALS sweep: every row of H, then every column of W.
 
@@ -393,13 +391,13 @@ def fast_hals_iterate(
     for j in range(r):
         if Q[j, j] == 0.0:
             raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
-        H[j] = np.maximum(floor, H[j] + (P[:, j] - H.T @ Q[:, j]) / Q[j, j])
+        H[j] = np.maximum(POSITIVITY_FLOOR, H[j] + (P[:, j] - H.T @ Q[:, j]) / Q[j, j])
     R = V @ H.T
     S = H @ H.T
     for j in range(r):
         if S[j, j] == 0.0:
             raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
-        w = np.maximum(floor, W[:, j] + (R[:, j] - W @ S[:, j]) / S[j, j])
+        w = np.maximum(POSITIVITY_FLOOR, W[:, j] + (R[:, j] - W @ S[:, j]) / S[j, j])
         W[:, j] = w / math.sqrt(float(w @ w))
     pair = FactorPair(W, H)
     if v_sq is None:
@@ -408,59 +406,11 @@ def fast_hals_iterate(
     return pair, {"objective": f}
 
 
-def iteration_stepper(
-    config: SolverConfig, v_sq: float
-) -> Callable[[np.ndarray, FactorPair, float], tuple[FactorPair, dict]]:
-    """Build the per-iteration step function for ``config.algorithm``.
-
-    The returned callable maps ``(V, state, f)``, where ``f`` is the
-    objective of ``state`` and ``v_sq`` is ``||V||_F**2``, to
-    ``(new_state, info)``. ``info["objective"]`` is the objective of
-    ``new_state``; ``info`` also carries step diagnostics (mu/nu for INOM,
-    backtrack counts for the accelerated algorithms).
-    """
-    floor = config.positivity_floor
-    alg = config.algorithm
-
-    if alg is Algorithm.INOM:
-
-        def step(V, state, f):
-            return inom_iterate(V, state, v_sq=v_sq)
-
-    elif alg is Algorithm.PARINOM:
-
-        def step(V, state, f):
-            return parinom_iterate(V, state, floor=floor, v_sq=v_sq)
-
-    elif alg is Algorithm.MU:
-
-        def step(V, state, f):
-            return mu_iterate(V, state, floor=floor, v_sq=v_sq)
-
-    elif alg is Algorithm.FAST_HALS:
-
-        def step(V, state, f):
-            return fast_hals_iterate(V, state, floor=floor, v_sq=v_sq)
-
-    elif alg in (Algorithm.ACC_PARINOM, Algorithm.ACC_MU):
-        from . import squarem
-
-        fp_map = (
-            squarem.parinom_map(floor=floor)
-            if alg is Algorithm.ACC_PARINOM
-            else squarem.mu_map(floor=floor)
-        )
-
-        def step(V, state, f):
-            pair, accel = squarem.squarem_step(
-                V, state, fp_map, floor=floor, f0=f, v_sq=v_sq
-            )
-            return pair, {"objective": accel.objective, "backtracks": accel.backtracks}
-
-    else:  # pragma: no cover - enum is closed
-        raise ContractViolationError(f"unknown algorithm {alg!r}")
-
-    return step
+# The base map each SQUAREM-accelerated algorithm wraps.
+_ACCELERATED = {
+    Algorithm.ACC_PARINOM: Algorithm.PARINOM,
+    Algorithm.ACC_MU: Algorithm.MU,
+}
 
 
 def solve(
@@ -484,7 +434,7 @@ def solve(
         Nonnegative data matrix. Column-normalize it beforehand if the
         normalized-cone convention is wanted; this routine uses V as given.
     config : SolverConfig
-        Algorithm, rank, stopping rule, floor and seed.
+        Algorithm, rank, stopping rule and seed.
     init : FactorPair, optional
         Starting factors, shapes (n, rank) and (rank, m), entrywise finite
         and nonnegative; they are copied and become iterate 0. When omitted the
@@ -528,7 +478,21 @@ def solve(
         linalg.require_nonnegative(init.H, "init H")
         state = init.copy()
 
-    step = iteration_stepper(config, float(np.vdot(V, V)))
+    base = _ACCELERATED.get(config.algorithm)
+    if base is not None:
+        from . import squarem
+    else:
+        # The maps are looked up here, per solve, so that a replaced module
+        # attribute (a tracer, a test fake) is the one called.
+        step = {
+            Algorithm.INOM: inom_iterate,
+            Algorithm.PARINOM: parinom_iterate,
+            Algorithm.MU: mu_iterate,
+            Algorithm.FAST_HALS: fast_hals_iterate,
+        }.get(config.algorithm)
+        if step is None:
+            raise ContractViolationError(f"unknown algorithm {config.algorithm!r}")
+    v_sq = float(np.vdot(V, V))
     trace = IterationTrace()
     f_prev = linalg.frobenius_residual(V, state.W, state.H)
     if not np.isfinite(f_prev):
@@ -539,7 +503,11 @@ def solve(
     t0 = time.perf_counter()
     trace.stop_reason = "max_iters"
     for k in range(1, config.max_iters + 1):
-        state, info = step(V, state, f_prev)
+        if base is None:
+            state, info = step(V, state, v_sq=v_sq)
+        else:
+            state, accel = squarem.squarem_step(V, state, base, f0=f_prev, v_sq=v_sq)
+            info = {"objective": accel.objective, "backtracks": accel.backtracks}
         f_k = info["objective"]
         if not np.isfinite(f_k):
             raise NumericalFailureError(

@@ -1,15 +1,18 @@
 """Squared-extrapolation acceleration for monotone fixed-point NMF maps.
 
-One accelerated step applies the wrapped map twice, extrapolates each factor
-along its squared iterate difference, and backtracks the extrapolation
-weights toward -1 until the Frobenius objective does not rise. At alpha = -1
-the candidate is exactly the two-step iterate, so backtracking always
-terminates because the wrapped map itself never increases the objective.
+One accelerated step applies a base map, PARINOM or MU, twice, extrapolates
+each factor along its squared iterate difference, and backtracks the
+extrapolation weights toward -1 until the Frobenius objective does not rise.
+At alpha = -1 the candidate is exactly the two-step iterate, so backtracking
+always terminates because the base map itself never increases the objective.
+The base map is named by its :class:`Algorithm` and called through this
+module's own ``parinom_iterate`` / ``mu_iterate``, which have the one map
+signature ``(V, pair, *, v_sq=None) -> (pair, info)``.
 
 The objective serves only as the descent test on each candidate (Varadhan &
 Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
 value from the caller (``solve`` already holds it) and the two-step
-iterate's value from the wrapped map. Each extrapolated candidate costs one
+iterate's value from the base map. Each extrapolated candidate costs one
 Gram-form evaluation (:func:`linalg.gram_objective`), whose only O(nmr)
 product is ``W^T V``. No step builds the n x m residual, except where the
 Gram form falls back to the exact value near a perfect fit. The accepted
@@ -20,27 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .errors import NumericalFailureError
+from .errors import ContractViolationError, NumericalFailureError
 from .solvers import (
-    DEFAULT_FLOOR,
+    POSITIVITY_FLOOR,
+    Algorithm,
     FactorPair,
     mu_iterate,
     normalize_pair,
     parinom_iterate,
 )
 
-__all__ = [
-    "FixedPointMap",
-    "AccelState",
-    "parinom_map",
-    "mu_map",
-    "squarem_step",
-]
+__all__ = ["AccelState", "squarem_step"]
 
 MAX_BACKTRACKS = 1000
 DEGENERATE_NORM = 1e-15
@@ -50,36 +47,10 @@ _ALPHA_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
-class FixedPointMap:
-    """A single-step NMF iteration map.
-
-    ``step(V, pair)`` returns ``(next pair, info)``, as the maps of
-    :mod:`nmfkit.solvers` do; ``step(V, pair, v_sq=...)`` also fills
-    ``info["objective"]``. ``step`` must never increase the Frobenius
-    objective; that property is what guarantees the backtracking loop
-    terminates.
-    """
-
-    step: Callable[..., tuple[FactorPair, dict]]
-
-
-def parinom_map(floor: float = DEFAULT_FLOOR) -> FixedPointMap:
-    return FixedPointMap(
-        step=lambda V, pair, **kw: parinom_iterate(V, pair, floor=floor, **kw)
-    )
-
-
-def mu_map(floor: float = DEFAULT_FLOOR) -> FixedPointMap:
-    return FixedPointMap(
-        step=lambda V, pair, **kw: mu_iterate(V, pair, floor=floor, **kw)
-    )
-
-
-@dataclass(frozen=True)
 class AccelState:
-    """Outcome of one accelerated step; ``objective`` is that of ``pair``."""
+    """Outcome of one accelerated step; ``objective`` is that of the pair
+    :func:`squarem_step` returns with it."""
 
-    pair: FactorPair
     alpha_w: float
     alpha_h: float
     backtracks: int
@@ -90,24 +61,29 @@ def _frob(M: np.ndarray) -> float:
     return math.sqrt(float(np.sum(M * M)))
 
 
+def _extrapolate(x0, r, v, alpha: float) -> np.ndarray:
+    return np.maximum(POSITIVITY_FLOOR, x0 - 2.0 * alpha * r + alpha * alpha * v)
+
+
 def squarem_step(
     V,
     state: FactorPair,
-    fp_map: FixedPointMap,
+    base: Algorithm,
     *,
     f0: float,
     v_sq: float,
-    floor: float = DEFAULT_FLOOR,
     force_alpha: float | None = None,
 ) -> tuple[FactorPair, AccelState]:
-    """One accelerated outer step of ``fp_map`` from ``state``.
+    """One accelerated outer step of the ``base`` map from ``state``.
 
-    Per factor X in {W, H}: with x1 = step(x0) and x2 = step(x1),
-    r = x1 - x0, v = x2 - x1 - r and alpha = -||r||_F / ||v||_F, the
-    candidate is ``max(0, x0 - 2 alpha r + alpha^2 v)`` floored at ``floor``,
-    with the W candidate column-normalized. While the candidate objective
-    exceeds the objective at x0, both alphas move as alpha <- (alpha - 1) / 2
-    and the candidate is rebuilt. A factor whose ||v|| is below
+    ``base`` is ``Algorithm.PARINOM`` or ``Algorithm.MU``; any other value
+    raises :class:`ContractViolationError`. Per factor X in {W, H}: with
+    x1 = step(x0) and x2 = step(x1), r = x1 - x0, v = x2 - x1 - r and
+    alpha = -||r||_F / ||v||_F, the candidate is
+    ``max(POSITIVITY_FLOOR, x0 - 2 alpha r + alpha^2 v)``, with the W
+    candidate column-normalized. While the candidate objective exceeds the
+    objective at x0, both alphas move as alpha <- (alpha - 1) / 2 and the
+    candidate is rebuilt. A factor whose ||v|| is below
     ``DEGENERATE_NORM`` skips extrapolation and takes its two-step value.
     If the accepted extrapolation is still worse than the plain two-step
     iterate, the two-step iterate is returned, so acceleration never loses
@@ -118,9 +94,15 @@ def squarem_step(
     objective of ``state`` and ``v_sq`` is ``||V||_F**2``; ``solve`` already
     holds both.
     """
+    if base is Algorithm.PARINOM:
+        step = parinom_iterate
+    elif base is Algorithm.MU:
+        step = mu_iterate
+    else:
+        raise ContractViolationError(f"SQUAREM accelerates PARINOM or MU, not {base!r}")
     x0 = state
-    x1, _ = fp_map.step(V, x0)
-    x2, info = fp_map.step(V, x1, v_sq=v_sq)
+    x1, _ = step(V, x0)
+    x2, info = step(V, x1, v_sq=v_sq)
     f2 = info["objective"]
 
     rw = x1.W - x0.W
@@ -145,8 +127,8 @@ def squarem_step(
             # Return the two-step iterate verbatim (already normalized);
             # renormalizing would perturb it at roundoff level.
             return x2.copy(), f2
-        Wc = x2.W if w_is_x2 else np.maximum(floor, x0.W - 2.0 * aw * rw + aw * aw * vw)
-        Hc = x2.H if h_is_x2 else np.maximum(floor, x0.H - 2.0 * ah * rh + ah * ah * vh)
+        Wc = x2.W if w_is_x2 else _extrapolate(x0.W, rw, vw, aw)
+        Hc = x2.H if h_is_x2 else _extrapolate(x0.H, rh, vh, ah)
         Wc, Hc = normalize_pair(Wc, Hc)
         cross = float(np.vdot(Wc.T @ V, Hc))
         f = linalg.gram_objective(V, Wc, Hc, v_sq, cross, Wc.T @ Wc, Hc @ Hc.T)
@@ -158,7 +140,7 @@ def squarem_step(
         pinned_w = degen_w or alpha_w == -1.0
         pinned_h = degen_h or alpha_h == -1.0
         if pinned_w and pinned_h:
-            # Candidate equals the two-step iterate; accept it on the wrapped
+            # Candidate equals the two-step iterate; accept it on the base
             # map's own monotonicity.
             break
         if backtracks >= MAX_BACKTRACKS:
@@ -182,7 +164,6 @@ def squarem_step(
         alpha_w = alpha_h = -1.0
 
     return candidate, AccelState(
-        pair=candidate,
         alpha_w=alpha_w,
         alpha_h=alpha_h,
         backtracks=backtracks,

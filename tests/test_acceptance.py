@@ -19,7 +19,7 @@ from nmfkit.solvers import (
     parinom_iterate,
     solve,
 )
-from nmfkit.squarem import parinom_map, squarem_step
+from nmfkit.squarem import squarem_step
 
 from _util import fd_gradient_h, planted_instance, random_instance
 
@@ -145,17 +145,18 @@ def test_criterion_06_parallel_equivalence():
 
 
 def test_criterion_07_squarem_identity_and_dominance():
-    fp = parinom_map()
     exact = True
     worst_gap = -np.inf
     monotone = True
     for i in range(20):
         V, start = random_instance(9000 + i)
         v_sq = float(np.vdot(V, V))
-        x1, _ = fp.step(V, start)
-        x2, _ = fp.step(V, x1)
+        x1, _ = parinom_iterate(V, start)
+        x2, _ = parinom_iterate(V, x1)
         f0 = linalg.frobenius_residual(V, start.W, start.H)
-        forced, _ = squarem_step(V, start, fp, f0=f0, v_sq=v_sq, force_alpha=-1.0)
+        forced, _ = squarem_step(
+            V, start, Algorithm.PARINOM, f0=f0, v_sq=v_sq, force_alpha=-1.0
+        )
         exact = exact and np.array_equal(forced.W, x2.W) and np.array_equal(
             forced.H, x2.H
         )
@@ -167,7 +168,7 @@ def test_criterion_07_squarem_identity_and_dominance():
         s = start.copy()
         f_prev = plain[0]
         for k in range(1, 51):
-            s, _ = squarem_step(V, s, fp, f0=f_prev, v_sq=v_sq)
+            s, _ = squarem_step(V, s, Algorithm.PARINOM, f0=f_prev, v_sq=v_sq)
             f = linalg.frobenius_residual(V, s.W, s.H)
             monotone = monotone and f <= f_prev + 1e-9 * max(1.0, f_prev)
             worst_gap = max(worst_gap, f - plain[2 * k] - 1e-9)

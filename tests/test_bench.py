@@ -123,7 +123,7 @@ class TestScenario:
         assert f0[Algorithm.INOM] == f0[Algorithm.MU]
 
     def test_cell_failure_recorded_and_run_continues(self, monkeypatch):
-        def broken(V, state, *, floor=solvers.DEFAULT_FLOOR, v_sq=None):
+        def broken(V, state, *, v_sq=None):
             raise NumericalFailureError("injected fault")
 
         monkeypatch.setattr(solvers, "mu_iterate", broken)

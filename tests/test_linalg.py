@@ -156,6 +156,16 @@ class TestCsv:
             linalg.read_matrix_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "bad, message", [("x", "could not convert"), ("nan", "value 2 is nan;")]
+    )
+    def test_line_number_counts_blank_lines(self, tmp_path, bad, message):
+        path = tmp_path / "m.csv"
+        path.write_text(f"2,2\n1,2\n\n3,{bad}\n")
+        with pytest.raises(CsvFormatError, match=message) as err:
+            linalg.read_matrix_csv(path)
+        assert err.value.line == 4
+
     def test_wrong_column_count_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("2,2\n1.0,2.0\n1.0\n")

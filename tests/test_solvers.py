@@ -180,12 +180,23 @@ class TestParinom:
             out, _ = parinom_iterate(V, pair)
             assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
 
-    def test_zero_floor_zero_denominator_raises(self):
+
+class TestPositivityGuard:
+    # Zero rows of H make W H H^T zero in the PARINOM and MU W updates; a
+    # zero column of H makes MU's W'^T W' H zero after a valid W update.
+    @pytest.mark.parametrize(
+        "step, W, H, what",
+        [
+            (parinom_iterate, [[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "W"),
+            (mu_iterate, [[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "W"),
+            (mu_iterate, [[1.0], [1.0]], [[1.0, 0.0]], "H"),
+        ],
+        ids=["parinom-W", "mu-W", "mu-H"],
+    )
+    def test_zero_denominator_raises(self, step, W, H, what):
         V = np.ones((2, 2))
-        W = np.array([[1.0, 0.0], [1.0, 0.0]])
-        H = np.zeros((2, 2))
-        with pytest.raises(PositivityError):
-            parinom_update(V, W, H, floor=0.0)
+        with pytest.raises(PositivityError, match=f"the (MU )?{what} update"):
+            step(V, FactorPair(np.array(W), np.array(H)))
 
 
 class TestMu:
@@ -273,8 +284,6 @@ class TestSolverConfig:
             SolverConfig(algorithm=Algorithm.INOM, rank=1, tol=0.0)
         with pytest.raises(ContractViolationError):
             SolverConfig(algorithm=Algorithm.INOM, rank=1, max_iters=0)
-        with pytest.raises(ContractViolationError):
-            SolverConfig(algorithm=Algorithm.INOM, rank=1, positivity_floor=0.0)
         with pytest.raises(ContractViolationError):
             SolverConfig(algorithm=Algorithm.INOM, rank=1, target_fraction=math.nan)
 
@@ -373,9 +382,12 @@ class TestSolve:
         for alg in ALL:
             for i in range(3):
                 V, _ = planted_instance(900 + i)
-                config = SolverConfig(algorithm=alg, rank=2, tol=1e-14, seed=15 + i)
+                config = SolverConfig(
+                    algorithm=alg, rank=2, target_fraction=1e-6, seed=15 + i
+                )
                 _, trace = solve(V, config)
                 assert trace.final_objective <= 1e-6 * trace.objectives[0], alg
+                assert trace.stop_reason == "target", alg
 
     def test_numerical_failure_carries_iteration(self, monkeypatch):
         def bad_update(V, W, H):

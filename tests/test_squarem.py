@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from nmfkit import linalg
+from nmfkit.errors import ContractViolationError
 from nmfkit.solvers import Algorithm, FactorPair, SolverConfig, parinom_iterate, solve
-from nmfkit.squarem import AccelState, mu_map, parinom_map, squarem_step
+from nmfkit.squarem import AccelState, squarem_step
 
 from _util import planted_instance, random_instance
 
@@ -11,16 +13,16 @@ def objective(V, pair):
     return linalg.frobenius_residual(V, pair.W, pair.H)
 
 
-def accelerate(V, pair, fp, **kw):
+def accelerate(V, pair, base, **kw):
     # squarem_step takes f0 and ||V||^2 from its caller; here both are exact.
     f0, v_sq = objective(V, pair), float(np.vdot(V, V))
-    return squarem_step(V, pair, fp, f0=f0, v_sq=v_sq, **kw)
+    return squarem_step(V, pair, base, f0=f0, v_sq=v_sq, **kw)
 
 
 class TestSquaremStep:
     def test_fixed_point_returns_two_step_iterate(self):
         V, pair = planted_instance(0, n=6, m=8, r=2)
-        out, accel = accelerate(V, pair, parinom_map())
+        out, accel = accelerate(V, pair, Algorithm.PARINOM)
         # r and v vanish, the degenerate fallback returns the two-step value,
         # which at a fixed point is the starting state.
         assert np.abs(out.W - pair.W).max() <= 1e-12
@@ -34,7 +36,7 @@ class TestSquaremStep:
         # coincide and the accelerated result is that same fixed point.
         V = np.array([[2.0]])
         state = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
-        out, _ = accelerate(V, state, mu_map())
+        out, _ = accelerate(V, state, Algorithm.MU)
         assert out.W == np.array([[1.0]])
         assert out.H == np.array([[2.0]])
         assert objective(V, out) == 0.0
@@ -42,10 +44,9 @@ class TestSquaremStep:
     def test_alpha_minus_one_identity_is_exact(self):
         for i in range(5):
             V, pair = random_instance(100 + i)
-            fp = parinom_map()
-            x1, _ = fp.step(V, pair)
-            x2, _ = fp.step(V, x1)
-            out, accel = accelerate(V, pair, fp, force_alpha=-1.0)
+            x1, _ = parinom_iterate(V, pair)
+            x2, _ = parinom_iterate(V, x1)
+            out, accel = accelerate(V, pair, Algorithm.PARINOM, force_alpha=-1.0)
             assert np.array_equal(out.W, x2.W)
             assert np.array_equal(out.H, x2.H)
             assert isinstance(accel, AccelState)
@@ -55,7 +56,6 @@ class TestSquaremStep:
         # accepted objectives never rise and never trail the plain trace.
         for i in range(5):
             V, start = random_instance(200 + i)
-            fp = parinom_map()
             plain = [objective(V, start)]
             s = start.copy()
             for _ in range(100):
@@ -64,7 +64,7 @@ class TestSquaremStep:
             s = start.copy()
             f_prev = objective(V, s)
             for k in range(1, 51):
-                s, _ = accelerate(V, s, fp)
+                s, _ = accelerate(V, s, Algorithm.PARINOM)
                 f = objective(V, s)
                 assert f <= f_prev + 1e-9 * max(1.0, f_prev)
                 assert f <= plain[2 * k] + 1e-9
@@ -74,13 +74,21 @@ class TestSquaremStep:
         total = 0
         for i in range(10):
             V, pair = random_instance(300 + i)
-            _, accel = accelerate(V, pair, parinom_map())
+            _, accel = accelerate(V, pair, Algorithm.PARINOM)
             assert accel.backtracks >= 0
             assert accel.alpha_w <= 0.0
             assert accel.alpha_h <= 0.0
             total += accel.backtracks
         # the extrapolation should be accepted outright at least sometimes
         assert total < 10 * 1000
+
+    @pytest.mark.parametrize(
+        "base", [Algorithm.INOM, Algorithm.FAST_HALS, Algorithm.ACC_MU, "parinom"]
+    )
+    def test_other_base_rejected(self, base):
+        V, pair = random_instance(310)
+        with pytest.raises(ContractViolationError):
+            accelerate(V, pair, base)
 
     def test_halving_drives_alpha_to_minus_one(self):
         alpha = -7.3
