@@ -2,33 +2,27 @@
 over seeded trials, and emit comparison tables.
 
 Every cell is one :func:`~nmfkit.solvers.solve` call: the table presets set
-``SolverConfig.target_fraction`` and the sim1 preset uses the relative-change
-tolerance; each row is read off the solve's trace. Within a trial every
-algorithm sees the same data matrix and the same starting factors, so initial
-objectives match and timing differences come from the iterations alone. The
-trace clock starts after data generation, input normalization,
-initialization and the starting objective; step-size and bound computations
-are part of each algorithm and are included.
+``SolverConfig.target_fraction`` to ``TARGET_FRACTION`` and the sim1 preset
+uses the relative-change tolerance; each row is read off the solve's trace.
+Within a trial every algorithm sees the same data matrix and the same
+starting factors, so initial objectives match and timing differences come
+from the iterations alone. The trace clock starts after data generation,
+input normalization, initialization and the starting objective; step-size
+and bound computations are part of each algorithm and are included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
 from .datagen import generate_dense_uniform, generate_sparse
 from .errors import ContractViolationError, NmfError
-from .solvers import (
-    Algorithm,
-    FactorPair,
-    IterationTrace,
-    SolverConfig,
-    solve,
-)
+from .solvers import Algorithm, IterationTrace, SolverConfig, solve
 
 __all__ = [
     "MatrixKind",
@@ -51,6 +45,10 @@ ALL_ALGORITHMS = (
 )
 
 
+# The table presets stop each solve at this fraction of its starting objective.
+TARGET_FRACTION = 0.7
+
+
 class MatrixKind(Enum):
     DENSE_UNIFORM = "dense-uniform"
     SPARSE70 = "sparse70"
@@ -71,16 +69,10 @@ class BenchScenario:
     rank_values: tuple[int, ...]
     kind: MatrixKind = MatrixKind.DENSE_UNIFORM
     algorithms: tuple[Algorithm, ...] = ALL_ALGORITHMS
-    target_fraction: float = 0.7
     trials: int = 50
     seed: int = 0
-    max_iters: int = 5000
 
     def __post_init__(self):
-        if not 0.0 < self.target_fraction <= 1.0:
-            raise ContractViolationError(
-                f"target_fraction must be in (0, 1], got {self.target_fraction}"
-            )
         if self.trials < 1:
             raise ContractViolationError(f"trials must be >= 1, got {self.trials}")
         if any(r >= min(self.n, self.m) for r in self.rank_values):
@@ -129,9 +121,6 @@ class BenchResults:
     @property
     def failures(self) -> list[TrialRow]:
         return [r for r in self.rows if r.error is not None]
-
-    def cell_rows(self, algorithm: Algorithm, r: int) -> list[TrialRow]:
-        return [x for x in self.rows if x.algorithm is algorithm and x.r == r]
 
     def summary_rows(self):
         """Mean/std of time and iterations for each (scenario, algorithm, r)."""
@@ -223,11 +212,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
             init_seed = derive_seed(scenario.seed, trial, 1, r)
             for alg in scenario.algorithms:
                 config = SolverConfig(
-                    algorithm=alg,
-                    rank=r,
-                    max_iters=scenario.max_iters,
-                    seed=init_seed,
-                    target_fraction=scenario.target_fraction,
+                    algorithm=alg, rank=r, seed=init_seed, target_fraction=TARGET_FRACTION
                 )
                 try:
                     _, trace = solve(V, config)
@@ -260,7 +245,6 @@ def sim2_scenario(
     scale: float = 0.05,
     trials: int = 3,
     seed: int = 0,
-    rank_values: Optional[Sequence[int]] = None,
 ) -> BenchScenario:
     """Dense or sparse fixed-size table with a swept rank.
 
@@ -269,10 +253,8 @@ def sim2_scenario(
     """
     n = _scaled(10000, scale)
     m = _scaled(50000, scale)
-    if rank_values is None:
-        step_r = _scaled(500, scale)
-        rank_values = tuple(step_r * i for i in range(1, 11))
-    rank_values = tuple(r for r in rank_values if r < min(n, m))
+    step_r = _scaled(500, scale)
+    rank_values = tuple(r for r in range(step_r, 11 * step_r, step_r) if r < min(n, m))
     name = "sim2-dense" if kind is MatrixKind.DENSE_UNIFORM else "sim2-sparse"
     return BenchScenario(
         name=name,
@@ -286,11 +268,7 @@ def sim2_scenario(
 
 
 def sim3_scenarios(
-    kind: MatrixKind = MatrixKind.DENSE_UNIFORM,
-    scale: float = 0.05,
-    trials: int = 3,
-    seed: int = 0,
-    m_values: Optional[Sequence[int]] = None,
+    scale: float = 0.05, trials: int = 3, seed: int = 0
 ) -> list[BenchScenario]:
     """Growing-width tables: n and r fixed, m swept.
 
@@ -299,41 +277,25 @@ def sim3_scenarios(
     """
     n = _scaled(1000, scale)
     r = _scaled(100, scale)
-    if m_values is None:
-        step_m = _scaled(100000, scale)
-        m_values = tuple(step_m * i for i in range(1, 11))
-    out = []
-    for m in m_values:
-        out.append(
-            BenchScenario(
-                name=f"sim3-m{m}",
-                n=n,
-                m=m,
-                rank_values=(r,),
-                kind=kind,
-                trials=trials,
-                seed=seed,
-            )
+    step_m = _scaled(100000, scale)
+    return [
+        BenchScenario(
+            name=f"sim3-m{m}", n=n, m=m, rank_values=(r,), trials=trials, seed=seed
         )
-    return out
+        for m in range(step_m, 11 * step_m, step_m)
+    ]
 
 
 @dataclass
 class Sim1Result:
     traces: dict[Algorithm, IterationTrace]
-    pairs: dict[Algorithm, FactorPair]
     results: BenchResults
 
 
-def sim1_run(
-    scale: float = 1.0,
-    seed: int = 0,
-    tol: float = 1e-6,
-    max_iters: int = 5000,
-    algorithms: tuple[Algorithm, ...] = ALL_ALGORITHMS,
-) -> Sim1Result:
+def sim1_run(scale: float = 1.0, seed: int = 0) -> Sim1Result:
     """Convergence-comparison run: one shared 100 x 200 rank-1 instance,
-    every algorithm solved to the relative-change tolerance, full traces kept.
+    every algorithm solved to the default relative-change tolerance (1e-6,
+    at most 5000 iterations), full traces kept.
     """
     n = _scaled(100, scale)
     m = _scaled(200, scale)
@@ -342,17 +304,12 @@ def sim1_run(
     )
     init_seed = derive_seed(seed, 0, 1, 1)
     traces: dict[Algorithm, IterationTrace] = {}
-    pairs: dict[Algorithm, FactorPair] = {}
     results = BenchResults()
-    for alg in algorithms:
-        config = SolverConfig(
-            algorithm=alg, rank=1, tol=tol, max_iters=max_iters, seed=init_seed
-        )
-        pair, trace = solve(V, config)
+    for alg in ALL_ALGORITHMS:
+        _, trace = solve(V, SolverConfig(algorithm=alg, rank=1, seed=init_seed))
         traces[alg] = trace
-        pairs[alg] = pair
         results.rows.append(TrialRow.from_trace("sim1", alg, 1, 0, trace))
-    return Sim1Result(traces=traces, pairs=pairs, results=results)
+    return Sim1Result(traces=traces, results=results)
 
 
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")

@@ -2,7 +2,10 @@
 
 All maps minimize ``||V - W H||_F**2`` over entrywise-nonnegative factors.
 They are pure functions of ``(V, state)``: inputs are never mutated, so
-multiple solves may share a read-only V concurrently.
+multiple solves may share a read-only V concurrently. INOM updates H, then
+W from the new H. PARINOM builds both factor updates from the incoming pair
+(the paper's "parallel" update), so they are independent; they are
+evaluated one after the other.
 
 Conventions kept by every full iteration:
   * both factors stay entrywise nonnegative;
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -273,14 +275,6 @@ def inom_iterate(
     return pair, info
 
 
-def _parinom_products(V, W, H):
-    VHt = V @ H.T
-    WHHt = W @ (H @ H.T)
-    WtV = W.T @ V
-    WtWH = (W.T @ W) @ H
-    return VHt, WHHt, WtV, WtWH
-
-
 def _quarter_power_step(numerator, denominator, X, what):
     if np.any(denominator == 0.0):
         raise PositivityError(
@@ -297,45 +291,25 @@ def parinom_update(V, W, H):
     H' = ((W^T V o H^4) / (W^T W H))^(1/4)
 
     Both are computed entirely from the incoming (W, H), so they are mutually
-    independent. Entries are floored at ``POSITIVITY_FLOOR`` afterwards
-    because the multiplicative form needs strictly positive factors on the
-    next call.
+    independent and the order in which they are evaluated does not matter.
+    Entries are floored at ``POSITIVITY_FLOOR`` afterwards because the
+    multiplicative form needs strictly positive factors on the next call.
     """
-    VHt, WHHt, WtV, WtWH = _parinom_products(V, W, H)
-    Wn = _quarter_power_step(VHt, WHHt, W, "W")
-    Hn = _quarter_power_step(WtV, WtWH, H, "H")
+    Wn = _quarter_power_step(V @ H.T, W @ (H @ H.T), W, "W")
+    Hn = _quarter_power_step(W.T @ V, (W.T @ W) @ H, H, "H")
     return Wn, Hn
 
 
 def parinom_iterate(
-    V,
-    state: FactorPair,
-    *,
-    parallel: bool = False,
-    v_sq: Optional[float] = None,
+    V, state: FactorPair, *, v_sq: Optional[float] = None
 ) -> tuple[FactorPair, dict]:
-    """Full PARINOM iteration: joint W/H update, floor, renormalize W.
-
-    With ``parallel=True`` the two factor updates run in two threads. The
-    shared matrix products are formed once up front (BLAS kernels are not
-    guaranteed bit-reproducible under concurrent invocation); the per-factor
-    elementwise work then proceeds independently, and the result is exactly
-    equal to the sequential evaluation.
+    """Full PARINOM iteration: the joint W/H update of :func:`parinom_update`,
+    both factors computed from the incoming pair, then W renormalized.
 
     Every product of the step belongs to the incoming pair, so with ``v_sq``
     the objective costs one fresh ``W'^T V``.
     """
-    W, H = state.W, state.H
-    VHt, WHHt, WtV, WtWH = _parinom_products(V, W, H)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fw = pool.submit(_quarter_power_step, VHt, WHHt, W, "W")
-            fh = pool.submit(_quarter_power_step, WtV, WtWH, H, "H")
-            Wn, Hn = fw.result(), fh.result()
-    else:
-        Wn = _quarter_power_step(VHt, WHHt, W, "W")
-        Hn = _quarter_power_step(WtV, WtWH, H, "H")
-    pair = FactorPair(*normalize_pair(Wn, Hn))
+    pair = FactorPair(*normalize_pair(*parinom_update(V, state.W, state.H)))
     if v_sq is None:
         return pair, {}
     W, H = pair.W, pair.H

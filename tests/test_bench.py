@@ -61,8 +61,6 @@ class TestScenario:
         with pytest.raises(ContractViolationError):
             BenchScenario(name="x", n=10, m=10, rank_values=(2,), trials=0)
         with pytest.raises(ContractViolationError):
-            BenchScenario(name="x", n=10, m=10, rank_values=(2,), target_fraction=0.0)
-        with pytest.raises(ContractViolationError):
             BenchScenario(name="x", n=10, m=10, rank_values=(10,))
 
     def test_single_cell_table(self):
@@ -213,7 +211,6 @@ class TestPresets:
         assert scenario.n == 500
         assert scenario.m == 2500
         assert scenario.rank_values == tuple(range(25, 251, 25))
-        assert scenario.target_fraction == 0.7
 
     def test_sim3_scaling(self):
         scenarios = sim3_scenarios(scale=0.05)

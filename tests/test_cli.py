@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from nmfkit import cli, linalg, solvers
+from nmfkit import cli, diagnostics, linalg, solvers
+from nmfkit.solvers import FactorPair
 from nmfkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 from _util import planted_instance
@@ -286,13 +287,55 @@ class TestBss:
         assert code == EXIT_USAGE
 
 
+SUITE_NAMES = ("monotonicity", "majorization", "fixed-point", "psd-bound", "kkt-decrease")
+
+
+def _perturbed_map(original):
+    def step(V, pair, **kwargs):
+        out, info = original(V, pair, **kwargs)
+        return FactorPair(out.W, out.H * (1.0 + 1e-9)), info
+
+    return step
+
+
+def _returns_start(original):
+    def solve(V, config, init=None, **kwargs):
+        _, trace = original(V, config, init, **kwargs)
+        return solvers.initial_factors(V, config), trace
+
+    return solve
+
+
+# One injected fault per suite besides monotonicity: (suite, module, attribute, fault).
+SUITE_FAULTS = [
+    ("fixed-point", solvers, "mu_iterate", _perturbed_map),
+    ("psd-bound", linalg, "max_row_sum", lambda f: lambda A: 0.5 * f(A)),
+    ("majorization", diagnostics, "parinom_surrogate", lambda f: lambda *a: f(*a) - 1.0),
+    ("kkt-decrease", solvers, "solve", _returns_start),
+]
+
+
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        code = main(["verify", "--quick"])
+    @pytest.mark.parametrize("flags", [[], ["--quick"]], ids=["full", "quick"])
+    def test_suites_pass(self, capsys, flags):
+        code = main(["verify", *flags])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "monotonicity:" in out
+        names = [line.split(":")[0] for line in out.splitlines() if "checks" in line]
+        assert names == list(SUITE_NAMES)
         assert "all suites passed" in out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # faults may blow up floats
+    @pytest.mark.parametrize(
+        "suite, module, name, fault", SUITE_FAULTS, ids=[f[0] for f in SUITE_FAULTS]
+    )
+    def test_fault_in_suite_detected(self, capsys, monkeypatch, suite, module, name, fault):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        code = main(["verify", "--quick"])
+        assert code == EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        line = next(x for x in lines if x.startswith(suite + ":"))
+        assert int(line.split(", ")[1].split()[0]) > 0, line
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fault blows up floats
     def test_corrupted_solver_detected(self, capsys, monkeypatch):

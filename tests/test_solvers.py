@@ -29,12 +29,6 @@ from nmfkit.solvers import (
 from _util import planted_instance, random_instance
 
 ALL = list(Algorithm)
-BASE_MAPS = {
-    "inom": inom_iterate,
-    "parinom": parinom_iterate,
-    "mu": mu_iterate,
-    "fast-hals": fast_hals_iterate,
-}
 
 
 def objective(V, pair):
@@ -154,14 +148,6 @@ class TestParinom:
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
-    def test_parallel_equals_sequential_exactly(self):
-        for i in range(20):
-            V, pair = random_instance(300 + i)
-            seq, _ = parinom_iterate(V, pair.copy(), parallel=False)
-            par, _ = parinom_iterate(V, pair.copy(), parallel=True)
-            assert np.array_equal(seq.W, par.W)
-            assert np.array_equal(seq.H, par.H)
-
     def test_update_order_is_irrelevant(self):
         # W' and H' are built from iteration-i values only, so evaluating the
         # raw maps one at a time in either order changes nothing.
@@ -262,18 +248,6 @@ class TestFastHals:
         with pytest.raises(DegenerateComponentError) as err:
             fast_hals_iterate(V, FactorPair(W, H))
         assert err.value.component == 1
-
-
-class TestFixedPointAllMaps:
-    def test_planted_factorization_invariant(self):
-        for i in range(5):
-            V, pair = planted_instance(800 + i, n=8, m=10, r=3)
-            for name, step in BASE_MAPS.items():
-                out, _ = step(V, pair.copy())
-                drift = max(
-                    np.abs(out.W - pair.W).max(), np.abs(out.H - pair.H).max()
-                )
-                assert drift <= 1e-12, f"{name} drifted {drift}"
 
 
 class TestSolverConfig:
