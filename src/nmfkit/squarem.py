@@ -7,7 +7,7 @@ At alpha = -1 the candidate is exactly the two-step iterate, so backtracking
 always terminates because the base map itself never increases the objective.
 The base map is named by its :class:`Algorithm` and called through this
 module's own ``parinom_iterate`` / ``mu_iterate``, which have the one map
-signature ``(V, pair, *, v_sq=None) -> (pair, info)``.
+signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``.
 
 The objective serves only as the descent test on each candidate (Varadhan &
 Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
@@ -16,13 +16,18 @@ iterate's value from the base map. Each extrapolated candidate costs one
 Gram-form evaluation (:func:`linalg.gram_objective`), whose only O(nmr)
 product is ``W^T V``. No step builds the n x m residual, except where the
 Gram form falls back to the exact value near a perfect fit. The accepted
-candidate's value is returned in :class:`AccelState`.
+candidate's value and products are returned in :class:`AccelState`, and
+the next step hands those products to its first base application. An
+accelerated PARINOM step so forms 5 + b O(nmr) products, where b is the
+backtrack count: one in the first base application, three in the second
+(its objective included) and one per extrapolated candidate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -48,13 +53,17 @@ _ALPHA_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class AccelState:
-    """Outcome of one accelerated step; ``objective`` is that of the pair
-    :func:`squarem_step` returns with it."""
+    """Outcome of one accelerated step. ``objective`` is that of the pair
+    :func:`squarem_step` returns with it, and ``products`` that pair's
+    ``(W^T V, W^T W, H H^T)`` for the next step's ``products=`` (None when
+    the accepted pair is the two-step iterate of a map that hands on no
+    products)."""
 
     alpha_w: float
     alpha_h: float
     backtracks: int
     objective: float
+    products: Optional[tuple] = field(repr=False, compare=False)
 
 
 def _frob(M: np.ndarray) -> float:
@@ -73,6 +82,7 @@ def squarem_step(
     f0: float,
     v_sq: float,
     force_alpha: float | None = None,
+    products=None,
 ) -> tuple[FactorPair, AccelState]:
     """One accelerated outer step of the ``base`` map from ``state``.
 
@@ -92,7 +102,8 @@ def squarem_step(
     ``force_alpha`` pins both alphas (useful for checking the alpha = -1
     identity, which reproduces the two-step iterate exactly). ``f0`` is the
     objective of ``state`` and ``v_sq`` is ``||V||_F**2``; ``solve`` already
-    holds both.
+    holds both. ``products`` are those of ``state``, as the previous step's
+    :class:`AccelState` returned them, or None to form them here.
     """
     if base is Algorithm.PARINOM:
         step = parinom_iterate
@@ -101,9 +112,9 @@ def squarem_step(
     else:
         raise ContractViolationError(f"SQUAREM accelerates PARINOM or MU, not {base!r}")
     x0 = state
-    x1, _ = step(V, x0)
+    x1, _ = step(V, x0, products=products)
     x2, info = step(V, x1, v_sq=v_sq)
-    f2 = info["objective"]
+    f2, p2 = info["objective"], info.get("products")
 
     rw = x1.W - x0.W
     vw = x2.W - x1.W - rw
@@ -120,21 +131,22 @@ def squarem_step(
     if force_alpha is not None:
         alpha_w = alpha_h = force_alpha
 
-    def build(aw: float, ah: float) -> tuple[FactorPair, float]:
+    def build(aw: float, ah: float) -> tuple[FactorPair, float, Optional[tuple]]:
         w_is_x2 = degen_w or aw == -1.0
         h_is_x2 = degen_h or ah == -1.0
         if w_is_x2 and h_is_x2:
             # Return the two-step iterate verbatim (already normalized);
             # renormalizing would perturb it at roundoff level.
-            return x2.copy(), f2
+            return x2.copy(), f2, p2
         Wc = x2.W if w_is_x2 else _extrapolate(x0.W, rw, vw, aw)
         Hc = x2.H if h_is_x2 else _extrapolate(x0.H, rh, vh, ah)
         Wc, Hc = normalize_pair(Wc, Hc)
-        cross = float(np.vdot(Wc.T @ V, Hc))
-        f = linalg.gram_objective(V, Wc, Hc, v_sq, cross, Wc.T @ Wc, Hc @ Hc.T)
-        return FactorPair(Wc, Hc), f
+        pc = (Wc.T @ V, Wc.T @ Wc, Hc @ Hc.T)
+        cross = float(np.vdot(pc[0], Hc))
+        f = linalg.gram_objective(V, Wc, Hc, v_sq, cross, pc[1], pc[2])
+        return FactorPair(Wc, Hc), f, pc
 
-    candidate, f_candidate = build(alpha_w, alpha_h)
+    candidate, f_candidate, p_candidate = build(alpha_w, alpha_h)
     backtracks = 0
     while f_candidate > f0:
         pinned_w = degen_w or alpha_w == -1.0
@@ -156,11 +168,13 @@ def squarem_step(
             if abs(alpha_h + 1.0) < _ALPHA_SNAP:
                 alpha_h = -1.0
         backtracks += 1
-        candidate, f_candidate = build(alpha_w, alpha_h)
+        # Drop the rejected candidate's products before forming the next.
+        p_candidate = None
+        candidate, f_candidate, p_candidate = build(alpha_w, alpha_h)
 
     # Never finish worse than the plain two-step iterate.
     if f_candidate > f2:
-        candidate, f_candidate = x2.copy(), f2
+        candidate, f_candidate, p_candidate = x2.copy(), f2, p2
         alpha_w = alpha_h = -1.0
 
     return candidate, AccelState(
@@ -168,4 +182,5 @@ def squarem_step(
         alpha_h=alpha_h,
         backtracks=backtracks,
         objective=f_candidate,
+        products=p_candidate,
     )

@@ -22,7 +22,7 @@ import numpy as np
 from . import diagnostics, linalg, solvers
 from .bench import derive_seed
 from .errors import NmfError
-from .solvers import Algorithm, FactorPair, SolverConfig
+from .solvers import MONOTONE_SLACK, Algorithm, FactorPair, SolverConfig
 
 __all__ = [
     "SuiteResult",
@@ -34,8 +34,6 @@ __all__ = [
     "kkt_ratio",
 ]
 
-# A step may raise the objective by at most this much times max(1, f).
-MONOTONE_SLACK = 1e-9
 # Largest entry change a planted factorization may show under one map.
 FIXED_POINT_TOL = 1e-12
 # Most negative eigenvalue allowed for max_row_sum(A) * I - A.

@@ -54,3 +54,21 @@ def fd_gradient_h(V, W, H, step=1e-5):
                 - linalg.frobenius_residual(V, W, Hm)
             ) / (2.0 * step)
     return G
+
+
+class MatmulCounter(np.ndarray):
+    """A view of V that counts the matrix products it takes part in, i.e. the
+    O(nmr) products of a step; products of the factors alone are not seen.
+
+    Use ``V = V.view(MatmulCounter)`` and read or reset ``V.calls``.
+    """
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.calls += 1
+        plain = tuple(
+            x.view(np.ndarray) if isinstance(x, MatmulCounter) else x for x in inputs
+        )
+        return getattr(ufunc, method)(*plain, **kwargs)

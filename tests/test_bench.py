@@ -121,7 +121,7 @@ class TestScenario:
         assert f0[Algorithm.INOM] == f0[Algorithm.MU]
 
     def test_cell_failure_recorded_and_run_continues(self, monkeypatch):
-        def broken(V, state, *, v_sq=None):
+        def broken(V, state, *, v_sq=None, products=None):
             raise NumericalFailureError("injected fault")
 
         monkeypatch.setattr(solvers, "mu_iterate", broken)

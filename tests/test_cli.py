@@ -306,12 +306,36 @@ def _returns_start(original):
     return solve
 
 
+def _nan_away_from_anchor(original):
+    # Exact at the anchor, NaN at every other point: domination is unknown,
+    # so the audit must fail rather than drop the NaN gaps.
+    def surrogate(V, W, H_ref, H):
+        return original(V, W, H_ref, H) if H is H_ref else float("nan")
+
+    return surrogate
+
+
 # One injected fault per suite besides monotonicity: (suite, module, attribute, fault).
 SUITE_FAULTS = [
-    ("fixed-point", solvers, "mu_iterate", _perturbed_map),
-    ("psd-bound", linalg, "max_row_sum", lambda f: lambda A: 0.5 * f(A)),
-    ("majorization", diagnostics, "parinom_surrogate", lambda f: lambda *a: f(*a) - 1.0),
-    ("kkt-decrease", solvers, "solve", _returns_start),
+    pytest.param("fixed-point", solvers, "mu_iterate", _perturbed_map, id="fixed-point"),
+    pytest.param(
+        "psd-bound", linalg, "max_row_sum", lambda f: lambda A: 0.5 * f(A), id="psd-bound"
+    ),
+    pytest.param(
+        "majorization",
+        diagnostics,
+        "parinom_surrogate",
+        lambda f: lambda *a: f(*a) - 1.0,
+        id="majorization",
+    ),
+    pytest.param(
+        "majorization",
+        diagnostics,
+        "inom_h_surrogate",
+        _nan_away_from_anchor,
+        id="majorization-nan",
+    ),
+    pytest.param("kkt-decrease", solvers, "solve", _returns_start, id="kkt-decrease"),
 ]
 
 
@@ -326,9 +350,7 @@ class TestVerify:
         assert "all suites passed" in out
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # faults may blow up floats
-    @pytest.mark.parametrize(
-        "suite, module, name, fault", SUITE_FAULTS, ids=[f[0] for f in SUITE_FAULTS]
-    )
+    @pytest.mark.parametrize("suite, module, name, fault", SUITE_FAULTS)
     def test_fault_in_suite_detected(self, capsys, monkeypatch, suite, module, name, fault):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         code = main(["verify", "--quick"])

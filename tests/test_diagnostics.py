@@ -8,7 +8,6 @@ from nmfkit.diagnostics import (
     inom_w_surrogate,
     kkt_residual,
     parinom_surrogate,
-    sigmoidal_upper_bound,
 )
 from nmfkit.errors import ContractViolationError, ShapeError
 from nmfkit.solvers import Algorithm, SolverConfig, solve
@@ -118,26 +117,6 @@ class TestSurrogates:
             Ws = np.maximum(1e-9, Wn * rng.uniform(0.8, 1.2, W.shape))
             Hs = np.maximum(1e-9, Hn * rng.uniform(0.8, 1.2, H.shape))
             assert parinom_surrogate(V, W, H, Ws, Hs) >= g_min - 1e-9
-
-    def test_sigmoidal_bound_scalar_products(self):
-        # c * x1 * x2 <= bound for 1000 random strictly positive points,
-        # with equality at the anchor.
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            c = float(rng.uniform(0.1, 5.0))
-            x_ref = rng.uniform(0.1, 3.0, 2)
-            x = rng.uniform(0.1, 3.0, 2)
-            alpha = np.array([1.0, 1.0])
-            value = c * float(np.prod(x**alpha))
-            bound = sigmoidal_upper_bound(c, alpha, x, x_ref)
-            assert bound >= value - 1e-9
-        x_ref = np.array([0.7, 1.3])
-        at_anchor = sigmoidal_upper_bound(2.0, np.array([1.0, 1.0]), x_ref, x_ref)
-        assert abs(at_anchor - 2.0 * 0.7 * 1.3) <= 1e-12
-
-    def test_sigmoidal_bound_requires_positive_coefficient(self):
-        with pytest.raises(ContractViolationError):
-            sigmoidal_upper_bound(-1.0, [1.0], [1.0], [1.0])
 
 
 class TestAuditMajorization:

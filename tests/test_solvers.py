@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nmfkit import linalg, solvers
+from nmfkit import linalg, solvers, squarem, verify
 from nmfkit.diagnostics import inom_h_surrogate, nmf_gradients
 from nmfkit.errors import (
     ContractViolationError,
@@ -26,7 +26,7 @@ from nmfkit.solvers import (
     solve,
 )
 
-from _util import planted_instance, random_instance
+from _util import MatmulCounter, planted_instance, random_instance
 
 ALL = list(Algorithm)
 
@@ -443,3 +443,171 @@ class TestTraceObjective:
         V, _ = planted_instance(900)
         config = SolverConfig(algorithm=alg, rank=2, tol=1e-14, max_iters=1500, seed=15)
         assert self._check(V, config)
+
+
+BASE_MAPS = {
+    Algorithm.INOM: inom_iterate,
+    Algorithm.PARINOM: parinom_iterate,
+    Algorithm.MU: mu_iterate,
+    Algorithm.FAST_HALS: fast_hals_iterate,
+}
+
+
+def fresh_products(V, pair):
+    return pair.W.T @ V, pair.W.T @ pair.W, pair.H @ pair.H.T
+
+
+def uncarried_solve(V, config, steps):
+    """``steps`` iterations of ``config``'s map, each called without products,
+    as (final pair, objectives, backtracks)."""
+    state = initial_factors(V, config)
+    v_sq = float(np.vdot(V, V))
+    f = [objective(V, state)]
+    backtracks = []
+    base = {Algorithm.ACC_PARINOM: Algorithm.PARINOM, Algorithm.ACC_MU: Algorithm.MU}
+    for _ in range(steps):
+        if config.algorithm in base:
+            state, accel = squarem.squarem_step(
+                V, state, base[config.algorithm], f0=f[-1], v_sq=v_sq
+            )
+            f.append(accel.objective)
+            backtracks.append(accel.backtracks)
+        else:
+            state, info = BASE_MAPS[config.algorithm](V, state, v_sq=v_sq)
+            f.append(info["objective"])
+    return state, np.array(f), backtracks
+
+
+class TestProductCarry:
+    """Maps hand their output pair's products to the next call; the carry
+    must change no bit of any iterate."""
+
+    @pytest.mark.parametrize("alg", list(BASE_MAPS), ids=lambda a: a.value)
+    def test_products_belong_to_returned_pair(self, alg):
+        V, pair = random_instance(600, n=20, m=30, r=4)
+        out, info = BASE_MAPS[alg](V, pair, v_sq=float(np.vdot(V, V)))
+        if alg in (Algorithm.INOM, Algorithm.MU):
+            assert "products" not in info
+            return
+        for got, want in zip(info["products"], fresh_products(V, out)):
+            assert got is None or np.array_equal(got, want)
+        assert (info["products"][0] is None) == (alg is Algorithm.FAST_HALS)
+        _, bare = BASE_MAPS[alg](V, pair)
+        assert "products" not in bare
+
+    @pytest.mark.parametrize(
+        "alg", [Algorithm.PARINOM, Algorithm.FAST_HALS], ids=lambda a: a.value
+    )
+    def test_carried_loop_equals_uncarried(self, alg):
+        V, start = random_instance(601, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        step = BASE_MAPS[alg]
+        carried, plain, products = start.copy(), start.copy(), None
+        for _ in range(50):
+            carried, info = step(V, carried, v_sq=v_sq, products=products)
+            products = info["products"]
+            plain, plain_info = step(V, plain, v_sq=v_sq)
+            assert np.array_equal(carried.W, plain.W)
+            assert np.array_equal(carried.H, plain.H)
+            assert info["objective"] == plain_info["objective"]
+
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
+    def test_solve_equals_uncarried_map_loop(self, alg):
+        V, _ = random_instance(602, n=20, m=30)
+        config = SolverConfig(algorithm=alg, rank=4, tol=1e-300, max_iters=40, seed=603)
+        pair, trace = solve(V, config)
+        assert trace.iterations == 40
+        plain, f, backtracks = uncarried_solve(V, config, 40)
+        assert np.array_equal(pair.W, plain.W)
+        assert np.array_equal(pair.H, plain.H)
+        assert np.array_equal(trace.objectives, f)
+        if backtracks:
+            assert [r.backtracks for r in trace.records[1:]] == backtracks
+
+    def test_parinom_forms_two_products_per_carried_call(self):
+        V, pair = random_instance(604, n=20, m=30, r=4)
+        V = V.view(MatmulCounter)
+        v_sq = float(np.vdot(V, V))
+        V.calls = 0
+        pair, info = parinom_iterate(V, pair, v_sq=v_sq)
+        assert V.calls == 3
+        for _ in range(10):
+            V.calls = 0
+            pair, info = parinom_iterate(V, pair, v_sq=v_sq, products=info["products"])
+            assert V.calls == 2
+
+
+class TestCallbackGuard:
+    """``solve`` hands ``state`` to the callback between two map calls that
+    share products, so the callback must not leave them stale."""
+
+    def test_in_place_write_raises(self):
+        V, _ = random_instance(610)
+        config = SolverConfig(algorithm=Algorithm.PARINOM, rank=3, max_iters=5, seed=611)
+
+        def scribble(k, state):
+            state.H[0, 0] = 1.0
+
+        with pytest.raises(ValueError):
+            solve(V, config, callback=scribble)
+        pair, _ = solve(V, config, callback=lambda k, s: None)
+        assert pair.W.flags.writeable and pair.H.flags.writeable
+
+    @pytest.mark.parametrize(
+        "alg",
+        [Algorithm.PARINOM, Algorithm.FAST_HALS, Algorithm.ACC_PARINOM],
+        ids=lambda a: a.value,
+    )
+    def test_reassigned_copy_keeps_trajectory(self, alg):
+        V, _ = random_instance(612, n=20, m=30)
+        config = SolverConfig(algorithm=alg, rank=4, tol=1e-300, max_iters=20, seed=613)
+
+        def recopy(k, state):
+            state.W = state.W.copy()
+
+        pair, trace = solve(V, config)
+        copied, copied_trace = solve(V, config, callback=recopy)
+        assert np.array_equal(pair.W, copied.W)
+        assert np.array_equal(pair.H, copied.H)
+        assert np.array_equal(trace.objectives, copied_trace.objectives)
+
+    @pytest.mark.parametrize(
+        "alg", [Algorithm.PARINOM, Algorithm.FAST_HALS], ids=lambda a: a.value
+    )
+    def test_replaced_factor_drops_carried_products(self, alg):
+        # A replaced factor with new values: carried products would be stale,
+        # so the run must match maps called without any.
+        V, _ = random_instance(614, n=20, m=30)
+        config = SolverConfig(algorithm=alg, rank=4, tol=1e-300, max_iters=6, seed=615)
+
+        def shake(k, state):
+            if k == 3:
+                state.W = linalg.normalize_columns(state.W + 0.1)
+                state.H = 1.5 * state.H
+
+        pair, _ = solve(V, config, callback=shake)
+        state = initial_factors(V, config)
+        for k in range(1, 7):
+            state, _ = BASE_MAPS[alg](V, state)
+            if k == 3:
+                shake(k, state)
+        assert np.array_equal(pair.W, state.W)
+        assert np.array_equal(pair.H, state.H)
+
+
+class TestMonotoneSlack:
+    """``IterationTrace.is_monotone`` and ``verify.monotone_rise`` apply the
+    one slack, ``solvers.MONOTONE_SLACK``."""
+
+    @pytest.mark.parametrize("factor, monotone", [(0.5, True), (2.0, False)])
+    @pytest.mark.parametrize("f0", [0.5, 10.0])
+    def test_trace_check_and_verify_measure_agree(self, monkeypatch, f0, factor, monotone):
+        rise = factor * solvers.MONOTONE_SLACK * max(1.0, f0)
+        trace = solvers.IterationTrace()
+        for k, f in enumerate([f0, f0 + rise, f0 + rise]):
+            trace.append(solvers.TraceRecord(k, f, 0.0))
+        monkeypatch.setattr(solvers, "solve", lambda V, config, callback=None: (None, trace))
+        assert verify.MONOTONE_SLACK is solvers.MONOTONE_SLACK
+        assert trace.is_monotone() is monotone
+        measured = verify.monotone_rise(np.ones((2, 2)), SolverConfig(Algorithm.MU, rank=1))
+        assert (measured <= 0.0) is monotone

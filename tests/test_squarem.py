@@ -6,7 +6,7 @@ from nmfkit.errors import ContractViolationError
 from nmfkit.solvers import Algorithm, FactorPair, SolverConfig, parinom_iterate, solve
 from nmfkit.squarem import AccelState, squarem_step
 
-from _util import planted_instance, random_instance
+from _util import MatmulCounter, planted_instance, random_instance
 
 
 def objective(V, pair):
@@ -98,6 +98,62 @@ class TestSquaremStep:
             alpha = (alpha - 1.0) / 2.0
         for a, b in zip(gaps, gaps[1:]):
             assert abs(b - a / 2.0) <= 1e-15
+
+
+class TestProductCarry:
+    """A step returns its accepted pair's products for the next step's
+    first base application."""
+
+    @pytest.mark.parametrize("base", [Algorithm.PARINOM, Algorithm.MU], ids=["parinom", "mu"])
+    def test_products_belong_to_accepted_pair(self, base):
+        for i in range(5):
+            V, pair = random_instance(500 + i)
+            out, accel = accelerate(V, pair, base)
+            if accel.products is None:
+                # MU hands on no products, so neither does its two-step iterate.
+                assert base is Algorithm.MU
+                continue
+            fresh = (out.W.T @ V, out.W.T @ out.W, out.H @ out.H.T)
+            for got, want in zip(accel.products, fresh):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("base", [Algorithm.PARINOM, Algorithm.MU], ids=["parinom", "mu"])
+    def test_carried_steps_equal_uncarried(self, base):
+        V, start = random_instance(521, n=20, m=30, r=4)  # backtracks in 4 steps
+        v_sq = float(np.vdot(V, V))
+        carried, plain = start.copy(), start.copy()
+        f_carried = f_plain = objective(V, start)
+        products = None
+        for _ in range(50):
+            carried, accel = squarem_step(
+                V, carried, base, f0=f_carried, v_sq=v_sq, products=products
+            )
+            f_carried, products = accel.objective, accel.products
+            plain, plain_accel = squarem_step(V, plain, base, f0=f_plain, v_sq=v_sq)
+            f_plain = plain_accel.objective
+            assert np.array_equal(carried.W, plain.W)
+            assert np.array_equal(carried.H, plain.H)
+            assert f_carried == f_plain
+            assert accel.backtracks == plain_accel.backtracks
+
+    def test_acc_parinom_forms_five_plus_b_products_per_carried_step(self):
+        V, pair = random_instance(521, n=20, m=30, r=4)
+        V = V.view(MatmulCounter)
+        v_sq = float(np.vdot(V, V))
+        f0 = objective(V.view(np.ndarray), pair)
+        V.calls = 0
+        pair, accel = squarem_step(V, pair, Algorithm.PARINOM, f0=f0, v_sq=v_sq)
+        assert V.calls == 6 + accel.backtracks
+        total = 0
+        for _ in range(20):
+            V.calls = 0
+            pair, accel = squarem_step(
+                V, pair, Algorithm.PARINOM, f0=accel.objective, v_sq=v_sq,
+                products=accel.products,
+            )
+            assert V.calls == 5 + accel.backtracks
+            total += accel.backtracks
+        assert total > 0  # the count covers the backtracking candidates
 
 
 class TestAcceleratedSolve:
