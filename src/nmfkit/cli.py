@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CsvFormatError as exc:
+    except (CsvFormatError, OSError) as exc:
         print(f"nmfkit: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ContractViolationError as exc:

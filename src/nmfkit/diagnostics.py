@@ -34,7 +34,8 @@ class KktReport:
 
     @property
     def combined(self) -> float:
-        return max(self.w_residual, self.h_residual)
+        # np.maximum, not max(): a NaN in either residual must surface.
+        return float(np.maximum(self.w_residual, self.h_residual))
 
     def to_text(self) -> str:
         return (

@@ -8,6 +8,8 @@ here returns fresh arrays and never mutates its inputs.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import (
@@ -158,19 +160,94 @@ def write_matrix_csv(path, M) -> None:
     rows, cols = M.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rows},{cols}\n")
-        for row in M:
-            fh.write(",".join(repr(float(x)) for x in row))
+        for row in M.tolist():
+            fh.write(",".join(map(repr, row)))
             fh.write("\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a matrix written by :func:`write_matrix_csv`.
 
+    The format is ASCII: a ``rows,cols`` header of two positive integers,
+    then ``rows`` lines of ``cols`` comma-separated finite values. Blank
+    lines are skipped; there are no comments and no quotes.
+
+    A well-formed file is parsed by numpy's C reader (``np.loadtxt``), fed
+    line by line from the open file. Streaming keeps the peak memory near the
+    output's own size; reading the whole text first would hold several times
+    that and cost time to split. The result is kept only when its shape
+    matches the header and every entry is finite. Otherwise, and whenever
+    ``loadtxt`` rejects the file, it is read again by the strict line-by-line
+    parser, which defines what this function accepts and raises its errors.
+    A file thus gives the same array, or the same error, on either path.
+
     Raises :class:`CsvFormatError` with the 1-based line number on any
-    malformed header, row, or value, including a non-finite one.
+    malformed header, row, or value, including a non-finite one and a
+    non-ASCII byte. An unopenable path raises ``OSError``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            out = _read_loadtxt(fh)
+            if out is None:
+                fh.seek(0)
+                out = _read_strict(fh)
+        return out
+    except UnicodeDecodeError:
+        raise _non_ascii_error(path) from None
+
+
+# str.splitlines, which the strict parser uses, also ends a line at \x0b,
+# \x0c and \x1c-\x1e, and float() does not strip \x1c-\x1f; numpy's reader
+# treats all six as whitespace inside a field. A line holding any of them goes
+# to the strict parser.
+_STRICT_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _lines_without_strict_only(fh):
+    for line in fh:
+        for ch in _STRICT_ONLY:
+            if ch in line:
+                raise ValueError(f"line holds {ch!r}")
+        yield line
+
+
+def _read_loadtxt(fh):
+    """The fast path of :func:`read_matrix_csv`: the parsed matrix, or None
+    when the strict parser must decide."""
+    lines = _lines_without_strict_only(fh)
+    try:
+        rows, cols = map(int, next(lines, "").split(","))
+        if rows <= 0 or cols <= 0:
+            return None
+        with warnings.catch_warnings():
+            # An empty body; the strict parser reports the missing rows.
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            out = np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64
+            )
+    except ValueError:
+        return None
+    if out.shape != (rows, cols) or not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _non_ascii_error(path) -> CsvFormatError:
+    # The text decoder reports a position within its chunk, so find the first
+    # non-ASCII byte again and number its line as the strict parser would.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = data.decode("ascii", errors="replace").index("\ufffd")
+    line = len((data[:pos].decode("ascii") + "x").splitlines())
+    return CsvFormatError(f"byte {data[pos]:#04x} is not ASCII", line=line)
+
+
+def _read_strict(fh) -> np.ndarray:
+    """The line-by-line parser behind :func:`read_matrix_csv`; raises its
+    :class:`CsvFormatError`."""
+    lines = fh.read().splitlines()
     if not lines:
         raise CsvFormatError("empty file", line=1)
     header = lines[0].split(",")

@@ -102,6 +102,26 @@ class TestFactorize:
         assert "input error" in err
         assert "line 3" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii"])
+    def test_unreadable_input_exits_one_without_traceback(self, tmp_path, kind):
+        if kind == "missing":
+            inp = tmp_path / "nope.csv"
+        elif kind == "directory":
+            inp = tmp_path
+        else:
+            inp = tmp_path / "v.csv"
+            inp.write_bytes(b"2,2\n1.0,2.0\n1.0,2\xe9\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmfkit.cli", "factorize", str(inp), "--rank", "1",
+             "--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("nmfkit: input error: ")
+        assert "Traceback" not in proc.stderr
+        if kind == "non-ascii":
+            assert "line 3" in proc.stderr
+
     def test_normalize_zero_column_exits_one(self, tmp_path, capsys):
         inp = write_csv(tmp_path / "v.csv", np.array([[3.0, 0.0], [4.0, 0.0]]))
         outs = ["--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv")]

@@ -3,6 +3,7 @@ import pytest
 
 from nmfkit import linalg
 from nmfkit.diagnostics import (
+    KktReport,
     audit_majorization,
     inom_h_surrogate,
     inom_w_surrogate,
@@ -28,6 +29,12 @@ class TestKktResidual:
         assert report.h_residual == 2.0
         assert report.w_residual == 2.0
         assert report.combined == 2.0
+
+    @pytest.mark.parametrize("w, h", [(1.0, float("nan")), (float("nan"), 1.0)])
+    def test_nan_residual_reaches_combined(self, w, h):
+        report = KktReport(w_residual=w, h_residual=h)
+        assert np.isnan(report.combined)
+        assert "combined: nan\n" in report.to_text()
 
     def test_transposition_invariance(self):
         for i in range(10):

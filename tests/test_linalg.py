@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,3 +168,125 @@ class TestCsv:
         path.write_text("3,2\n1.0,2.0\n")
         with pytest.raises(CsvFormatError):
             linalg.read_matrix_csv(path)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        M = np.array([[1e-13, 0.1, 12345.6789], [1e16, 0.0, -2.5]])
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        assert path.read_bytes() == b"2,3\n1e-13,0.1,12345.6789\n1e+16,0.0,-2.5\n"
+
+    # Inputs the fast path must either parse exactly as the strict parser does
+    # or hand to it, so that both give the same array or the same error.
+    DIFFERENTIAL = {
+        "blank-lines": "2,2\n\n1,2\n\n\n3,4\n\n",
+        "whitespace-only-line": "2,2\n1,2\n \t \n3,4\n",
+        "crlf": "2,2\r\n1,2\r\n3,4\r\n",
+        "no-final-newline": "2,2\n1,2\n3,4",
+        "spaced-fields": "2,2\n 1 , 2\t\n3 ,  4\n",
+        "plus-sign": "2,2\n+1,2\n3,4\n",
+        "exponent": "2,2\n4e5,2\n3,4E-3\n",
+        "leading-dot": "2,2\n.5,2\n3,4\n",
+        "trailing-dot": "2,2\n5.,2\n3,4\n",
+        "underscore": "2,2\n1_0,2\n3,4\n",
+        "trailing-comma": "2,2\n1,2,\n3,4\n",
+        "empty-field": "2,2\n1,,2\n3,4\n",
+        "quotes": '2,2\n"1",2\n3,4\n',
+        "comment-line": "2,2\n# c\n1,2\n3,4\n",
+        "comment-after-value": "2,2\n1,2 #c\n3,4\n",
+        "semicolon": "2,2\n1;2\n3,4\n",
+        "hex": "2,2\n0x10,2\n3,4\n",
+        "nan": "2,2\n1,2\nnan,4\n",
+        "inf": "2,2\n1,-inf\n3,4\n",
+        "overflow": "2,2\n1,2\n3,1e999\n",
+        "extra-row": "2,2\n1,2\n3,4\n5,6\n",
+        "missing-row": "3,2\n1,2\n3,4\n",
+        "three-field-header": "2,2,2\n1,2\n3,4\n",
+        "zero-header": "0,2\n",
+        "empty-body": "2,2\n",
+        "empty-file": "",
+        "ragged-row": "2,2\n1,2\n3\n",
+        "form-feed-before-comma": "1,2\n1\x0c,2\n",
+        "form-feed-in-header": "2\x0c,2\n1,2\n3,4\n",
+        "unit-separator": "1,2\n1\x1f,2\n",
+    }
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            M = read(path)
+        except CsvFormatError as exc:
+            return ("error", str(exc), exc.line)
+        return ("ok", M.shape, M.tobytes())
+
+    @staticmethod
+    def _read_strict(path):
+        with open(path, "r", encoding="ascii") as fh:
+            return linalg._read_strict(fh)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_reader_matches_strict_parser(self, tmp_path, name):
+        path = tmp_path / "m.csv"
+        # newline="" keeps "\r\n" as written.
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(self.DIFFERENTIAL[name])
+        assert self._outcome(linalg.read_matrix_csv, path) == self._outcome(
+            self._read_strict, path
+        )
+
+    @pytest.mark.parametrize("crlf_and_blanks", [False, True])
+    def test_well_formed_file_skips_strict_parser(
+        self, tmp_path, monkeypatch, crlf_and_blanks
+    ):
+        M = np.random.default_rng(8).uniform(0, 1, (5, 4))
+        M[2, 1] = 1e-300
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        if crlf_and_blanks:
+            text = path.read_text().replace("\n", "\r\n\r\n")
+            path.write_bytes(text.encode("ascii"))
+
+        def refuse(fh):
+            raise AssertionError("strict parser called on a well-formed file")
+
+        monkeypatch.setattr(linalg, "_read_strict", refuse)
+        assert np.array_equal(linalg.read_matrix_csv(path), M)
+
+    def test_read_peak_memory_near_output_size(self, tmp_path):
+        M = np.random.default_rng(9).uniform(100, 200, (200, 200))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        tracemalloc.start()
+        try:
+            out = linalg.read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, M)
+        assert peak < 2 * M.nbytes
+
+    def test_empty_body_raises_without_warning(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("3,2\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="expected 3 data rows") as err:
+                linalg.read_matrix_csv(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"2,2\n1,2\n3,\xff4\n", 3),
+            (b"2\xe9,2\n1,2\n3,4\n", 1),
+            (b"2,2\r\n1,2\r\n\r\n3,4\xc3\xa9\r\n", 4),
+            # Past the text decoder's first 8 KiB chunk, so loadtxt meets it.
+            (b"1000,1\n" + b"1.2345678901234567\n" * 999 + b"\x80\n", 1001),
+        ],
+        ids=["body", "header", "crlf-and-blank", "past-first-chunk"],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvFormatError, match="is not ASCII") as err:
+            linalg.read_matrix_csv(path)
+        assert err.value.line == line
