@@ -46,6 +46,9 @@ def generate_sparse(n: int, m: int, sparsity: float, seed: int) -> np.ndarray:
     threshold, so the output is nonnegative and the achieved zero fraction
     tracks the target regardless of its value. At sparsity 0.5 this reduces
     to clipping the negatives of a centered sample.
+
+    The shift and the clip work in place on the sample, so the peak memory
+    is the sample plus ``np.quantile``'s copy of it: twice the output.
     """
     if n < 1 or m < 1:
         raise ContractViolationError(f"dimensions must be positive, got {n}x{m}")
@@ -54,7 +57,8 @@ def generate_sparse(n: int, m: int, sparsity: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, m))
     threshold = float(np.quantile(x, sparsity))
-    return np.where(x < threshold, 0.0, x - threshold)
+    x -= threshold
+    return np.maximum(x, 0.0, out=x)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ def frobenius_residual(V, W, H) -> float:
     -------
     float
         Sum of squared entries of the residual ``V - W H``; always >= 0.
+
+    Works in one n x m buffer: ``W H`` is formed, then overwritten by the
+    residual and then by its square. The value is bit-identical to summing
+    the squares of a separately formed ``V - W @ H``.
     """
     V = as_matrix(V, "V")
     W = as_matrix(W, "W")
@@ -82,8 +86,10 @@ def frobenius_residual(V, W, H) -> float:
         raise ShapeError(
             f"cannot form V - W H from V {V.shape}, W {W.shape}, H {H.shape}"
         )
-    R = V - W @ H
-    return float(np.sum(R * R))
+    R = W @ H
+    np.subtract(V, R, out=R)
+    np.square(R, out=R)
+    return float(np.sum(R))
 
 
 # Below this fraction of ||V||_F**2 the Gram form of the objective has lost
@@ -154,14 +160,26 @@ def write_matrix_csv(path, M) -> None:
     """Write ``M`` in the toolkit CSV format: ``rows,cols`` header then rows.
 
     Values use shortest round-trip decimal notation, so writing is
-    deterministic and reading recovers the exact float64 entries.
+    deterministic and :func:`read_matrix_csv` recovers the exact float64
+    entries. Rows are formatted and written one at a time, so the transient
+    memory is one row's worth.
+
+    A non-finite entry, which the reader refuses, raises
+    :class:`ContractViolationError` naming its row and column before the
+    path is opened, so an existing file keeps its bytes.
     """
     M = as_matrix(M, "M")
+    # min and max propagate NaN and show an infinity, without an n x m mask.
+    if not (np.isfinite(M.min()) and np.isfinite(M.max())):
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ContractViolationError(
+            f"cannot write a non-finite entry: ({i}, {j}) is {float(M[i, j])!r}"
+        )
     rows, cols = M.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rows},{cols}\n")
-        for row in M.tolist():
-            fh.write(",".join(map(repr, row)))
+        for row in M:
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

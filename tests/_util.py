@@ -1,4 +1,7 @@
-"""Shared helpers for the test suite: independent oracles and instance builders."""
+"""Shared helpers for the test suite: independent oracles, instance builders
+and a memory probe."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -38,6 +41,18 @@ def planted_instance(seed, n=4, m=6, r=2):
     W = linalg.normalize_columns(rng.uniform(0.5, 1.5, size=(n, r)))
     H = rng.uniform(0.5, 1.5, size=(r, m))
     return W @ H, FactorPair(W, H)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)`` under tracemalloc; return ``(result,
+    peak_bytes)``, the peak counting only what the call itself allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def fd_gradient_h(V, W, H, step=1e-5):

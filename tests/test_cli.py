@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from nmfkit import cli, diagnostics, linalg, solvers
+from nmfkit import cli, datagen, diagnostics, linalg, solvers
 from nmfkit.solvers import FactorPair
 from nmfkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
-from _util import planted_instance
+from _util import planted_instance, traced_peak
 
 
 def write_csv(path, M):
@@ -194,6 +194,36 @@ class TestFactorize:
         inp = write_csv(tmp_path / "v.csv", np.ones((2, 2)))
         code = main(["factorize", inp, "--rank", "1"])
         assert code == EXIT_NUMERICAL
+
+
+class TestFactorizeMemory:
+    """``factorize --normalize`` holds V and one n x m work array at a time:
+    about twice the input's float64 size."""
+
+    @pytest.fixture(scope="class")
+    def factorize_argv(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("factorize-memory")
+        V = datagen.generate_dense_uniform(600, 600, 100.0, 200.0, seed=1001)
+        write_csv(d / "v.csv", V)
+
+        def argv(algo):
+            return [
+                "factorize", str(d / "v.csv"), "--rank", "10", "--algo", algo,
+                "--normalize", "--tol", "1e-3", "--seed", "1",
+                "--out-w", str(d / "W.csv"), "--out-h", str(d / "H.csv"),
+                "--trace", str(d / "trace.csv"),
+            ]
+
+        # The first factorize in a process also allocates one-time state.
+        assert main(argv("inom")) == EXIT_OK
+        return V.nbytes, argv
+
+    @pytest.mark.parametrize("algo", [a.value for a in solvers.Algorithm])
+    def test_peak_about_two_inputs(self, factorize_argv, algo):
+        nbytes, argv = factorize_argv
+        code, peak = traced_peak(main, argv(algo))
+        assert code == EXIT_OK
+        assert peak < 2.25 * nbytes
 
 
 class TestReproducibility:

@@ -11,6 +11,8 @@ from nmfkit.datagen import (
 )
 from nmfkit.errors import ContractViolationError
 
+from _util import traced_peak
+
 
 class TestDenseUniform:
     def test_deterministic(self):
@@ -67,6 +69,11 @@ class TestSparse:
         a = generate_sparse(50, 50, 0.5, seed=9)
         b = generate_sparse(50, 50, 0.5, seed=9)
         assert np.array_equal(a, b)
+
+    def test_peak_memory_two_copies(self):
+        # The sample plus np.quantile's copy of it.
+        M, peak = traced_peak(generate_sparse, 1000, 1000, 0.7, seed=12)
+        assert peak < 2.3 * M.nbytes
 
     def test_sparsity_validated(self):
         with pytest.raises(ContractViolationError):

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +11,7 @@ from nmfkit.errors import (
     ShapeError,
 )
 
-from _util import frobenius_oracle
+from _util import frobenius_oracle, traced_peak
 
 
 class TestFrobeniusResidual:
@@ -53,6 +52,15 @@ class TestFrobeniusResidual:
         H = np.ones((3, 4))
         with pytest.raises(ShapeError, match=r"V \(3, 4\), W \(3, 2\), H \(3, 4\)"):
             linalg.frobenius_residual(V, W, H)
+
+    def test_one_buffer_and_bitwise_value(self):
+        rng = np.random.default_rng(11)
+        V = rng.uniform(0, 1, (200, 300))
+        W = rng.uniform(0, 1, (200, 10))
+        H = rng.uniform(0, 1, (10, 300))
+        value, peak = traced_peak(linalg.frobenius_residual, V, W, H)
+        assert peak < 1.2 * V.nbytes
+        assert value == float(np.sum((V - W @ H) * (V - W @ H)))
 
 
 class TestNormalizeColumns:
@@ -255,14 +263,30 @@ class TestCsv:
         M = np.random.default_rng(9).uniform(100, 200, (200, 200))
         path = tmp_path / "m.csv"
         linalg.write_matrix_csv(path, M)
-        tracemalloc.start()
-        try:
-            out = linalg.read_matrix_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(linalg.read_matrix_csv, path)
         assert np.array_equal(out, M)
         assert peak < 2 * M.nbytes
+
+    def test_write_streams_rows(self, tmp_path):
+        # One row at a time costs one row's strings plus the file buffers, tens
+        # of kB whatever the row count, so the matrix is tall to keep that
+        # fixed cost small against its size.
+        M = np.random.default_rng(10).uniform(100, 200, (2000, 200))
+        path = tmp_path / "m.csv"
+        _, peak = traced_peak(linalg.write_matrix_csv, path, M)
+        assert peak < 0.05 * M.nbytes
+        assert np.array_equal(linalg.read_matrix_csv(path), M)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite_and_keeps_existing_file(self, tmp_path, value):
+        M = np.ones((3, 4))
+        M[2, 1] = value
+        M[2, 3] = value
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,1\n7.0\n")
+        with pytest.raises(ContractViolationError, match=rf"\(2, 1\) is {value!r}"):
+            linalg.write_matrix_csv(path, M)
+        assert path.read_bytes() == b"1,1\n7.0\n"
 
     def test_empty_body_raises_without_warning(self, tmp_path):
         path = tmp_path / "m.csv"
