@@ -113,8 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_factorize(args) -> int:
     V = linalg.read_matrix_csv(args.input)
     if args.normalize:
+        # V is this command's own array, so it is divided in place: the same
+        # bits as normalize_columns, without a second copy of V.
         try:
-            V = linalg.normalize_columns(V)
+            V /= linalg.nonzero_column_norms(V)
         except DegenerateColumnError as exc:
             raise ContractViolationError(
                 f"--normalize needs nonzero input columns; input {exc}"

@@ -25,6 +25,7 @@ __all__ = [
     "frobenius_residual",
     "gram_objective",
     "column_norms",
+    "nonzero_column_norms",
     "normalize_columns",
     "max_row_sum",
     "read_matrix_csv",
@@ -44,17 +45,33 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def require_nonnegative(M: np.ndarray, name: str = "matrix") -> None:
     """Raise :class:`ContractViolationError` unless every entry of ``M`` is
-    finite and nonnegative."""
-    if not np.all(np.isfinite(M)):
+    finite and nonnegative.
+
+    The check reads ``M.min()`` and ``M.max()``, which propagate NaN and show
+    an infinity without an n x m mask; only on the error path is the first
+    offending entry searched for and named.
+    """
+    lo, hi = M.min(), M.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         i, j = np.argwhere(~np.isfinite(M))[0]
         raise ContractViolationError(
-            f"{name} must be finite; entry ({i}, {j}) is {M[i, j]!r}"
+            f"{name} must be finite; entry ({i}, {j}) is {float(M[i, j])!r}"
         )
-    if np.any(M < 0):
+    if lo < 0:
         i, j = np.argwhere(M < 0)[0]
         raise ContractViolationError(
-            f"{name} must be entrywise nonnegative; entry ({i}, {j}) is {M[i, j]!r}"
+            f"{name} must be entrywise nonnegative; entry ({i}, {j}) is "
+            f"{float(M[i, j])!r}"
         )
+
+
+# The row blocks of frobenius_residual and column_norms hold at most this many
+# entries (1 MiB of float64), so their work arrays stay small whatever n is.
+BLOCK_ENTRIES = 2**17
+
+
+def _block_rows(m: int) -> int:
+    return max(1, BLOCK_ENTRIES // m)
 
 
 def frobenius_residual(V, W, H) -> float:
@@ -74,9 +91,12 @@ def frobenius_residual(V, W, H) -> float:
     float
         Sum of squared entries of the residual ``V - W H``; always >= 0.
 
-    Works in one n x m buffer: ``W H`` is formed, then overwritten by the
-    residual and then by its square. The value is bit-identical to summing
-    the squares of a separately formed ``V - W @ H``.
+    Works by row blocks of at most ``BLOCK_ENTRIES`` entries in one reused
+    buffer: each block of ``W H`` is formed, then overwritten by the residual
+    and then by its square, and the block sums are added in row order. When
+    ``n * m <= BLOCK_ENTRIES`` there is one block and the value is
+    bit-identical to summing the squares of a separately formed
+    ``V - W @ H``; above that it differs from that sum only by rounding.
     """
     V = as_matrix(V, "V")
     W = as_matrix(W, "W")
@@ -86,10 +106,16 @@ def frobenius_residual(V, W, H) -> float:
         raise ShapeError(
             f"cannot form V - W H from V {V.shape}, W {W.shape}, H {H.shape}"
         )
-    R = W @ H
-    np.subtract(V, R, out=R)
-    np.square(R, out=R)
-    return float(np.sum(R))
+    rows = _block_rows(m)
+    buf = np.empty((min(rows, n), m))
+    total = 0.0
+    for s in range(0, n, rows):
+        R = buf[: min(rows, n - s)]
+        np.matmul(W[s : s + rows], H, out=R)
+        np.subtract(V[s : s + rows], R, out=R)
+        np.square(R, out=R)
+        total += float(np.sum(R))
+    return total
 
 
 # Below this fraction of ||V||_F**2 the Gram form of the objective has lost
@@ -117,25 +143,54 @@ def gram_objective(V, W, H, v_sq: float, cross: float, WtW, HHt) -> float:
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of ``M`` as a 1-D array."""
+    """Euclidean norm of each column of ``M`` as a 1-D array.
+
+    A C-ordered matrix of at least two columns and more rows than one block
+    of ``BLOCK_ENTRIES`` entries is squared one row block at a time, so the
+    work array is one block, not a copy of ``M``. numpy sums axis 0 of such a
+    matrix row by row, so carrying the running sums into each block as its
+    first row gives the same bits as the one-shot sum, which every other
+    input uses. A single column is excluded because it is also F-ordered,
+    and numpy then sums it pairwise.
+    """
     M = as_matrix(M, "M")
-    return np.sqrt(np.sum(M * M, axis=0))
+    n, m = M.shape
+    rows = _block_rows(m)
+    if m < 2 or n <= rows or not M.flags.c_contiguous:
+        return np.sqrt(np.sum(M * M, axis=0))
+    buf = np.empty((rows + 1, m))
+    sums = np.zeros(m)
+    for s in range(0, n, rows):
+        block = M[s : s + rows]
+        k = block.shape[0]
+        buf[0] = sums
+        np.square(block, out=buf[1 : k + 1])
+        np.sum(buf[: k + 1], axis=0, out=sums)
+    return np.sqrt(sums)
+
+
+def nonzero_column_norms(M) -> np.ndarray:
+    """:func:`column_norms` of ``M``; a zero column raises
+    :class:`DegenerateColumnError` carrying the first such index."""
+    norms = column_norms(M)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateColumnError(int(zero[0]))
+    return norms
 
 
 def normalize_columns(M) -> np.ndarray:
     """Rescale every column of ``M`` to unit Euclidean norm.
 
-    Column directions are preserved. A zero column cannot be normalized and
-    raises :class:`DegenerateColumnError` carrying the offending index; for a
+    Column directions are preserved and ``M`` is left as it is; the result is
+    a fresh array. A zero column cannot be normalized and raises
+    :class:`DegenerateColumnError` carrying the offending index; for a
     factor matrix that means a dead component, and the caller decides whether
-    to reinitialize.
+    to reinitialize. To normalize an array in place, divide it by
+    :func:`nonzero_column_norms`, which gives the same bits.
     """
     M = as_matrix(M, "M")
-    norms = column_norms(M)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(int(zero[0]))
-    return M / norms
+    return M / nonzero_column_norms(M)
 
 
 def max_row_sum(A) -> float:
@@ -191,13 +246,15 @@ def read_matrix_csv(path) -> np.ndarray:
     lines are skipped; there are no comments and no quotes.
 
     A well-formed file is parsed by numpy's C reader (``np.loadtxt``), fed
-    line by line from the open file. Streaming keeps the peak memory near the
-    output's own size; reading the whole text first would hold several times
-    that and cost time to split. The result is kept only when its shape
-    matches the header and every entry is finite. Otherwise, and whenever
-    ``loadtxt`` rejects the file, it is read again by the strict line-by-line
-    parser, which defines what this function accepts and raises its errors.
-    A file thus gives the same array, or the same error, on either path.
+    line by line from the open file and told the header's row count, so the
+    output is allocated once at its final size and the peak memory is that
+    output plus a few line buffers; reading the whole text first would hold
+    several times that and cost time to split. The result is kept only when
+    its shape matches the header, every entry is finite and only blank lines
+    follow the last row. Otherwise, and whenever ``loadtxt`` rejects the
+    file, it is read again by the strict line-by-line parser, which defines
+    what this function accepts and raises its errors. A file thus gives the
+    same array, or the same error, on either path.
 
     Raises :class:`CsvFormatError` with the 1-based line number on any
     malformed header, row, or value, including a non-finite one and a
@@ -238,16 +295,27 @@ def _read_loadtxt(fh):
         if rows <= 0 or cols <= 0:
             return None
         with warnings.catch_warnings():
-            # An empty body; the strict parser reports the missing rows.
+            # An empty body, which the strict parser reports, or a blank line,
+            # which it skips.
             warnings.filterwarnings(
-                "ignore", "loadtxt: input contained no data", UserWarning
+                "ignore", r"(loadtxt: input|Input line \d+) contained no data",
+                UserWarning,
             )
+            # max_rows lets numpy allocate the output once, at its final size.
             out = np.loadtxt(
-                lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64
+                lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                max_rows=rows,
             )
+        # loadtxt stops after the last row; anything but blank lines after it
+        # is an error the strict parser reports.
+        if any(line.strip() for line in lines):
+            return None
     except ValueError:
         return None
-    if out.shape != (rows, cols) or not np.isfinite(out).all():
+    # min and max propagate NaN and show an infinity, without an n x m mask.
+    if out.shape != (rows, cols) or not (
+        np.isfinite(out.min()) and np.isfinite(out.max())
+    ):
         return None
     return out
 

@@ -460,7 +460,9 @@ def solve(
     comes from the iteration map in Gram form (:func:`linalg.gram_objective`),
     accurate to about ``eps * ||V||_F**2``. The objective of iterate 0, and
     any value below ``linalg.GRAM_EXACT_BELOW * ||V||_F**2``, is the exact
-    :func:`linalg.frobenius_residual`.
+    :func:`linalg.frobenius_residual`, summed by row blocks of at most
+    ``linalg.BLOCK_ENTRIES`` entries: for a larger V it can differ from a
+    one-shot sum in the last bit, and no n x m array is formed.
     """
     V = linalg.as_matrix(V, "V")
     linalg.require_nonnegative(V, "V")

@@ -102,6 +102,16 @@ class TestFactorize:
         assert "input error" in err
         assert "line 3" in err
 
+    def test_negative_entry_named_as_a_float(self, tmp_path, capsys):
+        bad = tmp_path / "neg.csv"
+        bad.write_text("2,2\n1,-2\n3,4\n")
+        outs = ["--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv")]
+        code = main(["factorize", str(bad), "--rank", "1", *outs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "entry (0, 1) is -2.0" in err
+        assert "np.float64" not in err
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii"])
     def test_unreadable_input_exits_one_without_traceback(self, tmp_path, kind):
         if kind == "missing":
@@ -197,26 +207,29 @@ class TestFactorize:
 
 
 class TestFactorizeMemory:
-    """``factorize --normalize`` holds V and one n x m work array at a time:
-    about twice the input's float64 size."""
+    """``factorize --normalize`` holds one copy of V: the reader allocates it
+    once, ``--normalize`` divides it in place, and the exact residual and
+    the column norms work in row blocks of at most ``linalg.BLOCK_ENTRIES``
+    entries. The peak is V plus about 1 MiB, so its ratio to V falls toward
+    1 as V grows."""
+
+    @staticmethod
+    def _argv(d, algo):
+        return [
+            "factorize", str(d / "v.csv"), "--rank", "10", "--algo", algo,
+            "--normalize", "--tol", "1e-3", "--seed", "1",
+            "--out-w", str(d / "W.csv"), "--out-h", str(d / "H.csv"),
+            "--trace", str(d / "trace.csv"),
+        ]
 
     @pytest.fixture(scope="class")
     def factorize_argv(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("factorize-memory")
         V = datagen.generate_dense_uniform(600, 600, 100.0, 200.0, seed=1001)
         write_csv(d / "v.csv", V)
-
-        def argv(algo):
-            return [
-                "factorize", str(d / "v.csv"), "--rank", "10", "--algo", algo,
-                "--normalize", "--tol", "1e-3", "--seed", "1",
-                "--out-w", str(d / "W.csv"), "--out-h", str(d / "H.csv"),
-                "--trace", str(d / "trace.csv"),
-            ]
-
         # The first factorize in a process also allocates one-time state.
-        assert main(argv("inom")) == EXIT_OK
-        return V.nbytes, argv
+        assert main(self._argv(d, "inom")) == EXIT_OK
+        return V.nbytes, lambda algo: self._argv(d, algo)
 
     @pytest.mark.parametrize("algo", [a.value for a in solvers.Algorithm])
     def test_peak_about_two_inputs(self, factorize_argv, algo):
@@ -224,6 +237,22 @@ class TestFactorizeMemory:
         code, peak = traced_peak(main, argv(algo))
         assert code == EXIT_OK
         assert peak < 2.25 * nbytes
+
+    @pytest.mark.parametrize("algo", [a.value for a in solvers.Algorithm])
+    def test_peak_one_input_plus_a_block(self, factorize_argv, algo):
+        # 600 x 600 is 2.75 MiB, so the 1 MiB block shows: about 1.41x.
+        nbytes, argv = factorize_argv
+        code, peak = traced_peak(main, argv(algo))
+        assert code == EXIT_OK
+        assert peak < 1.5 * nbytes
+
+    def test_peak_near_one_input_when_large(self, tmp_path):
+        V = datagen.generate_dense_uniform(1000, 1000, 100.0, 200.0, seed=1002)
+        write_csv(tmp_path / "v.csv", V)
+        assert main(self._argv(tmp_path, "inom")) == EXIT_OK
+        code, peak = traced_peak(main, self._argv(tmp_path, "inom"))
+        assert code == EXIT_OK
+        assert peak < 1.25 * V.nbytes
 
 
 class TestReproducibility:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -61,6 +62,54 @@ class TestFrobeniusResidual:
         value, peak = traced_peak(linalg.frobenius_residual, V, W, H)
         assert peak < 1.2 * V.nbytes
         assert value == float(np.sum((V - W @ H) * (V - W @ H)))
+
+
+    def test_row_blocks_bound_memory_and_keep_value(self):
+        # 1000 x 600 is several blocks of linalg.BLOCK_ENTRIES entries.
+        rng = np.random.default_rng(12)
+        V = rng.uniform(0, 1, (1000, 600))
+        W = rng.uniform(0, 1, (1000, 10))
+        H = rng.uniform(0, 1, (10, 600))
+        value, peak = traced_peak(linalg.frobenius_residual, V, W, H)
+        assert peak < 0.5 * V.nbytes
+        R = V - W @ H
+        exact = math.fsum((R * R).ravel())
+        assert abs(value - exact) <= 1e-14 * exact
+
+
+class TestColumnNorms:
+    M_COLS = 600
+    BLOCK_ROWS = linalg.BLOCK_ENTRIES // M_COLS
+
+    @staticmethod
+    def _one_shot(M):
+        return np.sqrt(np.sum(M * M, axis=0))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 7 * BLOCK_ROWS + 3],
+        ids=["below-block", "one-block", "one-row-over", "many-blocks"],
+    )
+    def test_c_ordered_bitwise_equal_to_one_shot(self, rows):
+        M = np.random.default_rng(rows).uniform(0, 1e3, (rows, self.M_COLS))
+        assert linalg.column_norms(M).tobytes() == self._one_shot(M).tobytes()
+
+    def test_other_layouts_bitwise_equal_to_one_shot(self):
+        M = np.random.default_rng(13).uniform(0, 1e3, (5 * self.BLOCK_ROWS, self.M_COLS))
+        # numpy sums a single column pairwise, since it is also F-ordered; a
+        # sum by row blocks differs from that in the last bits of about half
+        # such columns at this size.
+        columns = [
+            np.random.default_rng(seed).uniform(0, 1e3, (200_000, 1))
+            for seed in range(3)
+        ]
+        for X in (*columns, np.asfortranarray(M), M[::2], M[:, 1::2]):
+            assert linalg.column_norms(X).tobytes() == self._one_shot(X).tobytes()
+
+    def test_row_blocks_bound_memory(self):
+        M = np.random.default_rng(14).uniform(0, 1, (8 * self.BLOCK_ROWS, self.M_COLS))
+        _, peak = traced_peak(linalg.column_norms, M)
+        assert peak < 0.5 * M.nbytes
 
 
 class TestNormalizeColumns:
@@ -216,6 +265,13 @@ class TestCsv:
         "form-feed-before-comma": "1,2\n1\x0c,2\n",
         "form-feed-in-header": "2\x0c,2\n1,2\n3,4\n",
         "unit-separator": "1,2\n1\x1f,2\n",
+        # The fast path reads only the header's row count; whatever follows
+        # must be blank or the file goes to the strict parser.
+        "extra-row-after-600": "600,2\n" + "1,2\n" * 601,
+        "blanks-then-extra-row": "2,2\n1,2\n3,4\n\n \n5,6\n",
+        "trailing-blank-lines-only": "2,2\n1,2\n3,4\n\n\t\n\n",
+        "header-promises-more-rows": "5,2\n1,2\n\n3,4\n\n",
+        "blank-lines-between-rows": "3,2\n1,2\n\n\n3,4\n \n5,6\n",
     }
 
     @staticmethod
@@ -257,7 +313,18 @@ class TestCsv:
             raise AssertionError("strict parser called on a well-formed file")
 
         monkeypatch.setattr(linalg, "_read_strict", refuse)
-        assert np.array_equal(linalg.read_matrix_csv(path), M)
+        # Blank lines raise a loadtxt warning the reader must silence.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(linalg.read_matrix_csv(path), M)
+
+    def test_read_allocates_output_once(self, tmp_path):
+        M = np.random.default_rng(15).uniform(100, 200, (600, 600))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        out, peak = traced_peak(linalg.read_matrix_csv, path)
+        assert np.array_equal(out, M)
+        assert peak < 1.1 * M.nbytes
 
     def test_read_peak_memory_near_output_size(self, tmp_path):
         M = np.random.default_rng(9).uniform(100, 200, (200, 200))

@@ -283,6 +283,14 @@ class TestSolve:
             with pytest.raises(ContractViolationError):
                 solve(V, SolverConfig(algorithm=Algorithm.INOM, rank=1))
 
+    def test_non_finite_init_named_as_a_float(self):
+        V = np.ones((3, 4))
+        W = np.ones((3, 2))
+        W[1, 0] = np.nan
+        config = SolverConfig(algorithm=Algorithm.INOM, rank=2)
+        with pytest.raises(ContractViolationError, match=r"entry \(1, 0\) is nan$"):
+            solve(V, config, init=FactorPair(W, np.ones((2, 4))))
+
     def test_init_of_wrong_shape_rejected(self):
         V = np.ones((3, 4))
         config = SolverConfig(algorithm=Algorithm.INOM, rank=2)
