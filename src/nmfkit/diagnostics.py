@@ -128,22 +128,25 @@ def parinom_surrogate(V, W_ref, H_ref, W, H) -> float:
 class SurrogateCheck:
     name: str
     equality_gap: float  # |g - f| / max(1, |f|) at the anchor
-    worst_domination: float  # max over samples of f - g; <= tol when passing
+    worst_domination: float  # max over samples of f - g
     samples: int
+
+
+# Largest equality gap a bound may show at its anchor.
+EQUALITY_TOL = 1e-9
+# Largest f - g a bound may show at a sample point.
+DOMINATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class MajorizationReport:
     algorithm: Algorithm
     checks: tuple[SurrogateCheck, ...]
-    equality_tol: float = 1e-9
-    domination_tol: float = 1e-9
 
     @property
     def passed(self) -> bool:
         return all(
-            c.equality_gap <= self.equality_tol
-            and c.worst_domination <= self.domination_tol
+            c.equality_gap <= EQUALITY_TOL and c.worst_domination <= DOMINATION_TOL
             for c in self.checks
         )
 
@@ -180,10 +183,10 @@ def audit_majorization(
 ) -> MajorizationReport:
     """Check the algorithm's upper bound(s) at ``state`` and at random points.
 
-    At the anchor the bound must reproduce the objective (relative gap below
-    1e-9); at ``samples`` random perturbed points it must dominate it (f - g
-    below 1e-9, and a NaN gap fails). Violations are report content, never
-    exceptions.
+    At the anchor the bound must reproduce the objective (relative gap at most
+    ``EQUALITY_TOL``); at ``samples`` random perturbed points it must dominate
+    it (f - g at most ``DOMINATION_TOL``, and a NaN gap fails). Violations
+    are report content, never exceptions.
     """
     V = linalg.as_matrix(V, "V")
     W, H = state.W, state.H

@@ -171,8 +171,19 @@ def column_norms(M: np.ndarray) -> np.ndarray:
 
 def nonzero_column_norms(M) -> np.ndarray:
     """:func:`column_norms` of ``M``; a zero column raises
-    :class:`DegenerateColumnError` carrying the first such index."""
-    norms = column_norms(M)
+    :class:`DegenerateColumnError` carrying the first such index, and a norm
+    that is not finite (the squares overflow float64) raises
+    :class:`ContractViolationError` naming the first such column."""
+    M = as_matrix(M, "M")
+    # An overflow is reported by the error below, not by a warning.
+    with np.errstate(over="ignore"):
+        norms = column_norms(M)
+    if not np.isfinite(norms).all():
+        j = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise ContractViolationError(
+            f"column {j} has no finite norm (largest entry "
+            f"{float(np.max(M[:, j]))!r}); rescale the matrix"
+        )
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateColumnError(int(zero[0]))
@@ -186,8 +197,9 @@ def normalize_columns(M) -> np.ndarray:
     a fresh array. A zero column cannot be normalized and raises
     :class:`DegenerateColumnError` carrying the offending index; for a
     factor matrix that means a dead component, and the caller decides whether
-    to reinitialize. To normalize an array in place, divide it by
-    :func:`nonzero_column_norms`, which gives the same bits.
+    to reinitialize. A column whose norm overflows float64 raises
+    :class:`ContractViolationError`. To normalize an array in place, divide it
+    by :func:`nonzero_column_norms`, which gives the same bits.
     """
     M = as_matrix(M, "M")
     return M / nonzero_column_norms(M)

@@ -99,21 +99,25 @@ class SolverConfig:
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
     seed: int = 0
-    target_fraction: Optional[float] = None
+    target: Optional[float] = None
 
     def __post_init__(self):
         if self.rank < 1:
             raise ContractViolationError(f"rank must be >= 1, got {self.rank}")
         if not self.tol > 0:
             raise ContractViolationError(f"tol must be > 0, got {self.tol}")
-        if self.target_fraction is not None and not 0.0 < self.target_fraction <= 1.0:
+        if self.target is not None and not self.target >= 0.0:
             raise ContractViolationError(
-                f"target_fraction must be in (0, 1], got {self.target_fraction}"
+                f"target must be a nonnegative objective level, got {self.target}"
             )
         if self.max_iters < 1:
             raise ContractViolationError(
                 f"max_iters must be >= 1, got {self.max_iters}"
             )
+
+
+# Largest distance from 1 that FactorPair.validate allows a W column norm.
+UNIT_NORM_TOL = 1e-9
 
 
 @dataclass
@@ -130,8 +134,9 @@ class FactorPair:
     def rank(self) -> int:
         return self.W.shape[1]
 
-    def validate(self, unit_norm_tol: float = 1e-9) -> None:
-        """Check nonnegativity, conformability and unit-norm W columns."""
+    def validate(self) -> None:
+        """Check nonnegativity, conformability and unit-norm W columns, each
+        norm within ``UNIT_NORM_TOL`` of 1."""
         linalg.require_nonnegative(self.W, "W")
         linalg.require_nonnegative(self.H, "H")
         if self.W.shape[1] != self.H.shape[0]:
@@ -139,7 +144,7 @@ class FactorPair:
                 f"W has {self.W.shape[1]} columns but H has {self.H.shape[0]} rows"
             )
         norms = linalg.column_norms(self.W)
-        if np.any(np.abs(norms - 1.0) > unit_norm_tol):
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ContractViolationError(
                 f"W columns must have unit norm, got norms {norms}"
             )
@@ -161,7 +166,7 @@ class IterationTrace:
 
     ``stop_reason`` says why the solve ended: ``"tol"`` (relative objective
     change at most ``config.tol``), ``"target"`` (objective at most
-    ``config.target_fraction`` times the start) or ``"max_iters"``.
+    ``config.target``) or ``"max_iters"``.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -425,15 +430,16 @@ def solve(
     ``config.max_iters`` is reached.
 
     The stopping rule is the relative objective change dropping to
-    ``config.tol``. When ``config.target_fraction`` is set it replaces that
-    rule: the solve stops at the first iteration whose objective is at most
-    ``target_fraction`` times the starting objective, and ``tol`` is ignored.
+    ``config.tol``. When ``config.target`` is set it replaces that rule: the
+    solve stops at the first iteration whose objective is at most
+    ``config.target``, and ``tol`` is ignored.
 
     Parameters
     ----------
     V : array, shape (n, m)
-        Nonnegative data matrix. Column-normalize it beforehand if the
-        normalized-cone convention is wanted; this routine uses V as given.
+        Nonnegative data matrix whose ``||V||_F**2`` is a finite float64.
+        Column-normalize it beforehand if the normalized-cone convention is
+        wanted; this routine uses V as given.
     config : SolverConfig
         Algorithm, rank, stopping rule and seed.
     init : FactorPair, optional
@@ -466,6 +472,12 @@ def solve(
     """
     V = linalg.as_matrix(V, "V")
     linalg.require_nonnegative(V, "V")
+    v_sq = float(np.vdot(V, V))
+    if not np.isfinite(v_sq):
+        raise ContractViolationError(
+            f"||V||_F**2 overflows float64 at this scale (largest entry "
+            f"{float(V.max())!r}); rescale V"
+        )
     n, m = V.shape
     if config.rank > min(n, m):
         raise ContractViolationError(
@@ -498,13 +510,12 @@ def solve(
         }.get(config.algorithm)
         if step is None:
             raise ContractViolationError(f"unknown algorithm {config.algorithm!r}")
-    v_sq = float(np.vdot(V, V))
     trace = IterationTrace()
     f_prev = linalg.frobenius_residual(V, state.W, state.H)
     if not np.isfinite(f_prev):
         raise NumericalFailureError("initial objective is not finite", iteration=0)
     trace.append(TraceRecord(0, f_prev, 0.0))
-    target = None if config.target_fraction is None else config.target_fraction * f_prev
+    target = config.target
 
     t0 = time.perf_counter()
     trace.stop_reason = "max_iters"

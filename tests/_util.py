@@ -2,11 +2,12 @@
 and a memory probe."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
 from nmfkit import linalg
-from nmfkit.solvers import FactorPair
+from nmfkit.solvers import FactorPair, initial_factors
 
 
 def frobenius_oracle(V, W, H):
@@ -33,6 +34,14 @@ def random_instance(seed, n=10, m=12, r=3, normalized=True):
     W = linalg.normalize_columns(rng.uniform(0.1, 1.0, size=(n, r)))
     H = rng.uniform(0.1, 1.0, size=(r, m))
     return V, FactorPair(W, H)
+
+
+def with_target_at(V, config, fraction):
+    """``config`` with ``target`` at ``fraction`` times the objective of its
+    seeded start, which a solve without ``init`` takes as iterate 0."""
+    start = initial_factors(V, config)
+    f0 = linalg.frobenius_residual(V, start.W, start.H)
+    return replace(config, target=fraction * f0)
 
 
 def planted_instance(seed, n=4, m=6, r=2):

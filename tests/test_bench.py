@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,45 +17,52 @@ from nmfkit.bench import (
 from nmfkit.errors import ContractViolationError, NumericalFailureError
 from nmfkit.solvers import Algorithm, SolverConfig, solve
 
-from _util import planted_instance
+from _util import planted_instance, with_target_at
 
 
 class TestRunToTarget:
-    """``solve`` with ``target_fraction``: the stop rule of the table presets."""
+    """``solve`` with ``target``, set here to a fraction of iterate 0's
+    objective as the table presets set it."""
 
     def test_target_one_achieved_after_first_iteration(self):
         rng = np.random.default_rng(0)
         V = linalg.normalize_columns(rng.uniform(0.5, 1.5, (10, 12)))
-        config = SolverConfig(
-            algorithm=Algorithm.INOM, rank=2, seed=1, target_fraction=1.0
+        config = with_target_at(
+            V, SolverConfig(algorithm=Algorithm.INOM, rank=2, seed=1), 1.0
         )
         _, trace = solve(V, config)
+        assert config.target == trace.objectives[0]
         assert trace.converged
         assert trace.iterations == 1
 
     def test_planted_instance_reaches_tiny_target(self):
         V, _ = planted_instance(2, n=6, m=8, r=2)
-        config = SolverConfig(
-            algorithm=Algorithm.INOM, rank=2, seed=3, target_fraction=0.01
+        config = with_target_at(
+            V, SolverConfig(algorithm=Algorithm.INOM, rank=2, seed=3), 0.01
         )
         _, trace = solve(V, config)
         assert trace.converged
-        assert trace.final_objective <= 0.01 * 1.0 + trace.final_objective  # sanity
+        assert trace.stop_reason == "target"
+        assert trace.final_objective <= 0.01 * trace.objectives[0]
 
     def test_unreachable_target_reports_not_achieved(self):
         rng = np.random.default_rng(4)
         V = linalg.normalize_columns(rng.uniform(0.9, 1.1, (8, 9)))
-        config = SolverConfig(
-            algorithm=Algorithm.MU, rank=1, max_iters=3, seed=5, target_fraction=1e-12
+        config = with_target_at(
+            V, SolverConfig(algorithm=Algorithm.MU, rank=1, max_iters=3, seed=5), 1e-12
         )
         _, trace = solve(V, config)
         assert not trace.converged
         assert trace.iterations == 3
 
-    def test_bad_fraction_rejected(self):
-        for bad in (0.0, -0.5, 1.5):
+    def test_bad_target_rejected(self):
+        for bad in (-0.5, -math.inf, math.nan):
             with pytest.raises(ContractViolationError):
-                SolverConfig(algorithm=Algorithm.INOM, rank=1, target_fraction=bad)
+                SolverConfig(algorithm=Algorithm.INOM, rank=1, target=bad)
+
+    def test_zero_and_infinite_targets_accepted(self):
+        for level in (0.0, math.inf):
+            SolverConfig(algorithm=Algorithm.INOM, rank=1, target=level)
 
 
 class TestScenario:
@@ -99,26 +108,71 @@ class TestScenario:
             r.final_objective for r in b.rows
         ]
 
-    def test_shared_data_and_init_across_algorithms(self):
-        # within one (trial, r) cell every algorithm must observe the same
-        # starting objective; reconstruct it from the seeds.
+    @staticmethod
+    def _recorded_solves(monkeypatch, scenario):
+        """Run ``scenario``; return its results and ``(config, init, trace)``
+        of every solve it made."""
+        calls = []
+        real = solvers.solve
+
+        def recording(V, config, init=None, **kwargs):
+            pair, trace = real(V, config, init, **kwargs)
+            calls.append((config, init, trace))
+            return pair, trace
+
+        monkeypatch.setattr(solvers, "solve", recording)
+        return run_scenario(scenario), calls
+
+    def test_shared_data_and_init_across_algorithms(self, monkeypatch):
+        # Within one (trial, r) cell every algorithm is handed the same start:
+        # the seeded draw of that cell.
         scenario = BenchScenario(
             name="shared",
             n=10,
             m=12,
-            rank_values=(2,),
-            algorithms=(Algorithm.INOM, Algorithm.MU),
+            rank_values=(2, 3),
+            algorithms=(Algorithm.INOM, Algorithm.MU, Algorithm.ACC_PARINOM),
             trials=1,
             seed=8,
         )
+        _, calls = self._recorded_solves(monkeypatch, scenario)
         V = bench._trial_matrix(scenario, 0)
-        init_seed = bench.derive_seed(scenario.seed, 0, 1, 2)
-        f0 = {}
-        for alg in scenario.algorithms:
-            config = SolverConfig(algorithm=alg, rank=2, seed=init_seed)
-            start = solvers.initial_factors(V, config)
-            f0[alg] = linalg.frobenius_residual(V, start.W, start.H)
-        assert f0[Algorithm.INOM] == f0[Algorithm.MU]
+        assert len(calls) == 6
+        for k, r in enumerate(scenario.rank_values):
+            cell = calls[3 * k : 3 * k + 3]
+            assert [c.algorithm for c, _, _ in cell] == list(scenario.algorithms)
+            seed = bench.derive_seed(scenario.seed, 0, 1, r)
+            seeded_config = SolverConfig(Algorithm.MU, r, seed=seed)
+            seeded = solvers.initial_factors(V, seeded_config)
+            for config, init, trace in cell:
+                assert np.array_equal(init.W, seeded.W)
+                assert np.array_equal(init.H, seeded.H)
+                assert trace.objectives[0] == cell[0][2].objectives[0]
+
+    def test_rows_stop_at_first_iterate_at_or_below_the_cell_level(self, monkeypatch):
+        scenario = BenchScenario(
+            name="level",
+            n=20,
+            m=30,
+            rank_values=(2, 4),
+            trials=2,
+            seed=9,
+        )
+        results, calls = self._recorded_solves(monkeypatch, scenario)
+        assert len(calls) == len(results.rows) == 2 * 2 * len(bench.ALL_ALGORITHMS)
+        for (config, init, trace), row in zip(calls, results.rows):
+            V = bench._trial_matrix(scenario, row.trial)
+            f0 = linalg.frobenius_residual(V, init.W, init.H)
+            level = bench.TARGET_FRACTION * f0
+            assert trace.objectives[0] == f0
+            assert config.target == level
+            assert trace.stop_reason == "target"
+            assert trace.records[-2].objective > level
+            assert trace.records[-1].objective <= level
+            assert (row.iters, row.final_objective) == (
+                trace.iterations,
+                trace.final_objective,
+            )
 
     def test_cell_failure_recorded_and_run_continues(self, monkeypatch):
         def broken(V, state, *, v_sq=None, products=None):
@@ -140,6 +194,31 @@ class TestScenario:
         assert not by_alg[Algorithm.MU].achieved
         assert by_alg[Algorithm.INOM].error is None
         assert by_alg[Algorithm.INOM].achieved
+
+    def test_failing_cell_start_recorded_for_every_algorithm(self, monkeypatch):
+        real = solvers.initial_factors
+
+        def broken_at_rank_2(V, config):
+            if config.rank == 2:
+                raise NumericalFailureError("injected start fault")
+            return real(V, config)
+
+        monkeypatch.setattr(solvers, "initial_factors", broken_at_rank_2)
+        scenario = BenchScenario(
+            name="start",
+            n=10,
+            m=12,
+            rank_values=(2, 3),
+            algorithms=(Algorithm.MU, Algorithm.INOM),
+            trials=1,
+            seed=9,
+        )
+        rows = run_scenario(scenario).rows
+        assert [(x.r, x.algorithm.value) for x in rows] == [
+            (2, "mu"), (2, "inom"), (3, "mu"), (3, "inom")
+        ]
+        assert all(x.error == "injected start fault" for x in rows[:2])
+        assert all(x.error is None and x.achieved for x in rows[2:])
 
     def test_sparse_kind_runs(self):
         scenario = BenchScenario(

@@ -139,6 +139,26 @@ class TestFactorize:
         assert code == EXIT_USAGE
         assert "column 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overflowing_scale_exits_one_without_traceback(self, tmp_path, normalize):
+        # ||V||_F**2 and every column norm of these entries overflow float64.
+        V = datagen.generate_dense_uniform(10, 20, 1e160, 2e160, seed=3)
+        inp = write_csv(tmp_path / "v.csv", V)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmfkit.cli", "factorize", inp, "--rank", "4",
+             "--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv"),
+             *(["--normalize"] if normalize else [])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("nmfkit: invalid request: ")
+        assert "Traceback" not in proc.stderr
+        if normalize:
+            assert "column 0 has no finite norm" in proc.stderr
+        else:
+            assert f"largest entry {float(V.max())!r}" in proc.stderr
+        assert not (tmp_path / "W.csv").exists()
+
     def test_rank_too_large_is_usage_error(self, tmp_path, capsys):
         inp = write_csv(tmp_path / "v.csv", np.ones((2, 3)))
         code = main(["factorize", inp, "--rank", "5"])

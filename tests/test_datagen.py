@@ -49,13 +49,13 @@ class TestDenseUniform:
 
 
 class TestSparse:
-    def test_target_fraction_0_7(self):
+    def test_zero_fraction_0_7(self):
         M = generate_sparse(1000, 1000, 0.7, seed=6)
         frac = float(np.mean(M == 0.0))
         assert 0.69 <= frac <= 0.71
         assert M.min() >= 0.0
 
-    def test_target_fraction_0_99(self):
+    def test_zero_fraction_0_99(self):
         M = generate_sparse(1000, 1000, 0.99, seed=7)
         frac = float(np.mean(M == 0.0))
         assert 0.98 <= frac < 1.0

@@ -26,7 +26,7 @@ from nmfkit.solvers import (
     solve,
 )
 
-from _util import MatmulCounter, planted_instance, random_instance
+from _util import MatmulCounter, planted_instance, random_instance, with_target_at
 
 ALL = list(Algorithm)
 
@@ -259,7 +259,7 @@ class TestSolverConfig:
         with pytest.raises(ContractViolationError):
             SolverConfig(algorithm=Algorithm.INOM, rank=1, max_iters=0)
         with pytest.raises(ContractViolationError):
-            SolverConfig(algorithm=Algorithm.INOM, rank=1, target_fraction=math.nan)
+            SolverConfig(algorithm=Algorithm.INOM, rank=1, target=math.nan)
 
     def test_infinite_tol_is_allowed(self):
         SolverConfig(algorithm=Algorithm.INOM, rank=1, tol=math.inf)
@@ -330,8 +330,8 @@ class TestSolve:
 
     def test_stop_reason_target(self):
         V = np.random.default_rng(12).uniform(0.5, 1.5, (5, 6))
-        config = SolverConfig(
-            algorithm=Algorithm.MU, rank=2, tol=math.inf, target_fraction=0.99, seed=3
+        config = with_target_at(
+            V, SolverConfig(algorithm=Algorithm.MU, rank=2, tol=math.inf, seed=3), 0.99
         )
         _, trace = solve(V, config)
         assert trace.stop_reason == "target"
@@ -364,8 +364,8 @@ class TestSolve:
         for alg in ALL:
             for i in range(3):
                 V, _ = planted_instance(900 + i)
-                config = SolverConfig(
-                    algorithm=alg, rank=2, target_fraction=1e-6, seed=15 + i
+                config = with_target_at(
+                    V, SolverConfig(algorithm=alg, rank=2, seed=15 + i), 1e-6
                 )
                 _, trace = solve(V, config)
                 assert trace.final_objective <= 1e-6 * trace.objectives[0], alg
