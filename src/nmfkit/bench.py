@@ -16,7 +16,7 @@ bound computations are part of each algorithm and are included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -79,6 +79,8 @@ class BenchScenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractViolationError(f"trials must be >= 1, got {self.trials}")
+        if any(r < 1 for r in self.rank_values):
+            raise ContractViolationError(f"ranks {self.rank_values} must all be >= 1")
         if any(r >= min(self.n, self.m) for r in self.rank_values):
             raise ContractViolationError(
                 f"ranks {self.rank_values} must stay below min(n, m) = "
@@ -226,13 +228,9 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
     for trial in range(scenario.trials):
         V = _trial_matrix(scenario, trial)
         for r in scenario.rank_values:
-            # The start depends on the rank and seed alone; each solve below
-            # sets its own algorithm.
-            config = SolverConfig(
-                Algorithm.INOM, rank=r, seed=derive_seed(scenario.seed, trial, 1, r)
-            )
+            seed = derive_seed(scenario.seed, trial, 1, r)
             try:
-                start = solvers.initial_factors(V, config)
+                start = solvers.initial_factors(V, r, seed)
                 f0 = linalg.frobenius_residual(V, start.W, start.H)
                 target = TARGET_FRACTION * f0
             except NmfError as exc:
@@ -243,8 +241,8 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
                 continue
             for alg in scenario.algorithms:
                 try:
-                    alg_config = replace(config, algorithm=alg, target=target)
-                    _, trace = solvers.solve(V, alg_config, init=start)
+                    config = SolverConfig(alg, rank=r, seed=seed, target=target)
+                    _, trace = solvers.solve(V, config, init=start)
                     row = TrialRow.from_trace(scenario.name, alg, r, trial, trace)
                 except NmfError as exc:
                     row = TrialRow.failed(scenario.name, alg, r, trial, exc)
@@ -319,12 +317,13 @@ def sim1_run(scale: float = 1.0, seed: int = 0) -> Sim1Result:
     V = linalg.normalize_columns(
         generate_dense_uniform(n, m, 100.0, 200.0, derive_seed(seed, 0, 0))
     )
-    config = SolverConfig(Algorithm.INOM, rank=1, seed=derive_seed(seed, 0, 1, 1))
-    start = solvers.initial_factors(V, config)
+    start_seed = derive_seed(seed, 0, 1, 1)
+    start = solvers.initial_factors(V, 1, start_seed)
     traces: dict[Algorithm, IterationTrace] = {}
     results = BenchResults()
     for alg in ALL_ALGORITHMS:
-        _, trace = solvers.solve(V, replace(config, algorithm=alg), init=start)
+        config = SolverConfig(alg, rank=1, seed=start_seed)
+        _, trace = solvers.solve(V, config, init=start)
         traces[alg] = trace
         results.rows.append(TrialRow.from_trace("sim1", alg, 1, 0, trace))
     return Sim1Result(traces=traces, results=results)

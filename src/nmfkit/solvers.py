@@ -5,7 +5,9 @@ They are pure functions of ``(V, state)``: inputs are never mutated, so
 multiple solves may share a read-only V concurrently. INOM updates H, then
 W from the new H. PARINOM builds both factor updates from the incoming pair
 (the paper's "parallel" update), so they are independent; they are
-evaluated one after the other.
+evaluated one after the other. Its maps are ``W o (V H^T / (W H H^T))^{1/4}``
+and ``H o (W^T V / (W^T W H))^{1/4}``, with the quarter power taken as two
+square roots and written into the step's own denominator.
 
 Conventions kept by every full iteration:
   * both factors stay entrywise nonnegative;
@@ -211,31 +213,39 @@ class IterationTrace:
                 fh.write(f"{r.iteration},{r.objective!r},{r.elapsed_s!r}\n")
 
 
-def normalize_pair(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize the columns of W and move their scales into the rows of
-    H, which leaves the product W H unchanged.
-
-    Raises :class:`DegenerateFactorError` when a column of W is zero.
-    """
+def _nonzero_column_norms(W: np.ndarray) -> np.ndarray:
+    """Column norms of W; raises :class:`DegenerateFactorError` when one is
+    zero."""
     norms = linalg.column_norms(W)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateFactorError(
             f"column {int(zero[0])} of W collapsed to zero during the iteration"
         )
+    return norms
+
+
+def normalize_pair(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalize the columns of W and move their scales into the rows of
+    H, which leaves the product W H unchanged. W and H are not written.
+
+    Raises :class:`DegenerateFactorError` when a column of W is zero.
+    """
+    norms = _nonzero_column_norms(W)
     return W / norms, H * norms[:, None]
 
 
-def initial_factors(V: np.ndarray, config: SolverConfig) -> FactorPair:
-    """Seeded uniform-[0,1) starting factors with W column-normalized.
+def initial_factors(V: np.ndarray, rank: int, seed: int) -> FactorPair:
+    """Seeded uniform-[0,1) starting factors of V's shape and the given rank,
+    with W column-normalized.
 
     For a fixed seed this is deterministic, so several algorithms given the
-    same config seed start from the same factors and the same objective.
+    same rank and seed start from the same factors and the same objective.
     """
     n, m = V.shape
-    rng = np.random.default_rng(config.seed)
-    W = rng.random((n, config.rank))
-    H = rng.random((config.rank, m))
+    rng = np.random.default_rng(seed)
+    W = rng.random((n, rank))
+    H = rng.random((rank, m))
     return FactorPair(linalg.normalize_columns(W), H)
 
 
@@ -295,27 +305,46 @@ def inom_iterate(
     return pair, info
 
 
-def _quarter_power_step(numerator, denominator, X, what):
-    if np.any(denominator == 0.0):
+def _require_nonzero_denominator(denominator, update: str) -> None:
+    """Raise :class:`PositivityError` when the denominator of a ratio update
+    has a zero entry. It is a product of nonnegative factors, so its minimum
+    is zero exactly when some entry is."""
+    if denominator.min() == 0.0:
         raise PositivityError(
-            f"zero denominator entry in the {what} update; factors must stay "
+            f"zero denominator entry in the {update} update; factors must stay "
             "strictly positive"
         )
-    return np.maximum(POSITIVITY_FLOOR, ((numerator * X**4) / denominator) ** 0.25)
+
+
+def _quarter_power_step(numerator, denominator, X, what):
+    """``max(POSITIVITY_FLOOR, X o sqrt(sqrt(numerator / denominator)))``,
+    written into ``denominator``, which the caller has just formed and hands
+    over; ``numerator`` and ``X`` are only read."""
+    _require_nonzero_denominator(denominator, what)
+    out = denominator
+    np.divide(numerator, out, out=out)
+    np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
+    np.multiply(X, out, out=out)
+    return np.maximum(out, POSITIVITY_FLOOR, out=out)
 
 
 def parinom_update(V, W, H, *, products=None):
     """Raw PARINOM quarter-power maps, before any normalization.
 
-    W' = ((V H^T  o W^4) / (W H H^T))^(1/4)
-    H' = ((W^T V o H^4) / (W^T W H))^(1/4)
+    W' = W o (V H^T / (W H H^T))^(1/4)
+    H' = H o (W^T V / (W^T W H))^(1/4)
 
-    Both are computed entirely from the incoming (W, H), so they are mutually
-    independent and the order in which they are evaluated does not matter.
-    Entries are floored at ``POSITIVITY_FLOOR`` afterwards because the
-    multiplicative form needs strictly positive factors on the next call.
-    ``products`` is ``(W^T V, W^T W, H H^T)`` of (W, H) when the caller
-    already holds them; when None they are formed here.
+    The quarter power is taken as two square roots and no entry is raised to
+    the fourth power, so the step stays finite wherever the products, their
+    ratio and the new factor are. Both maps are computed entirely from the
+    incoming (W, H), so they are mutually independent and the order in which
+    they are evaluated does not matter. Entries are floored at
+    ``POSITIVITY_FLOOR`` afterwards because the multiplicative form needs
+    strictly positive factors on the next call. ``products`` is
+    ``(W^T V, W^T W, H H^T)`` of (W, H) when the caller already holds them;
+    when None they are formed here. Neither the inputs nor the products are
+    written.
     """
     WtV, WtW, HHt = (W.T @ V, W.T @ W, H @ H.T) if products is None else products
     Wn = _quarter_power_step(V @ H.T, W @ HHt, W, "W")
@@ -336,7 +365,12 @@ def parinom_iterate(
     three.
     """
     Wn, Hn = parinom_update(V, state.W, state.H, products=products)
-    pair = FactorPair(*normalize_pair(Wn, Hn))
+    products = None  # drop the incoming products before forming the new ones
+    # Wn and Hn are this step's own arrays, so they are normalized in place.
+    norms = _nonzero_column_norms(Wn)
+    Wn /= norms
+    Hn *= norms[:, None]
+    pair = FactorPair(Wn, Hn)
     if v_sq is None:
         return pair, {}
     W, H = pair.W, pair.H
@@ -358,13 +392,11 @@ def mu_iterate(
     """
     W, H = state.W, state.H
     den_w = W @ (H @ H.T)
-    if np.any(den_w == 0.0):
-        raise PositivityError("zero denominator entry in the MU W update")
+    _require_nonzero_denominator(den_w, "MU W")
     Wn = np.maximum(POSITIVITY_FLOOR, W * ((V @ H.T) / den_w))
     WtW = Wn.T @ Wn
     den_h = WtW @ H
-    if np.any(den_h == 0.0):
-        raise PositivityError("zero denominator entry in the MU H update")
+    _require_nonzero_denominator(den_h, "MU H")
     WtV = Wn.T @ V
     Hn = np.maximum(POSITIVITY_FLOOR, H * (WtV / den_h))
     pair = FactorPair(*normalize_pair(Wn, Hn))
@@ -478,6 +510,11 @@ def solve(
             f"||V||_F**2 overflows float64 at this scale (largest entry "
             f"{float(V.max())!r}); rescale V"
         )
+    if v_sq < np.finfo(np.float64).tiny:
+        raise ContractViolationError(
+            f"||V||_F**2 = {v_sq!r} is below the smallest normal float64 at "
+            f"this scale (largest entry {float(V.max())!r}); rescale V"
+        )
     n, m = V.shape
     if config.rank > min(n, m):
         raise ContractViolationError(
@@ -485,7 +522,7 @@ def solve(
         )
 
     if init is None:
-        state = initial_factors(V, config)
+        state = initial_factors(V, config.rank, config.seed)
     else:
         if init.W.shape != (n, config.rank) or init.H.shape != (config.rank, m):
             raise ContractViolationError(
@@ -519,20 +556,31 @@ def solve(
 
     t0 = time.perf_counter()
     trace.stop_reason = "max_iters"
-    products = None
+    # The carried products live only in ``info`` (``accel`` is dropped) and
+    # are popped into the next call, which then holds the only reference
+    # (CPython 3.11 and later move call arguments into the callee's frame),
+    # so nothing here keeps them past the step's first base application.
+    info = {}
     for k in range(1, config.max_iters + 1):
         if base is None:
-            state, info = step(V, state, v_sq=v_sq, products=products)
+            state, info = step(
+                V, state, v_sq=v_sq, products=info.pop("products", None)
+            )
         else:
             state, accel = squarem.squarem_step(
-                V, state, base, f0=f_prev, v_sq=v_sq, products=products
+                V,
+                state,
+                base,
+                f0=f_prev,
+                v_sq=v_sq,
+                products=info.pop("products", None),
             )
             info = {
                 "objective": accel.objective,
                 "backtracks": accel.backtracks,
                 "products": accel.products,
             }
-        products = info.get("products")
+            del accel
         f_k = info["objective"]
         if not np.isfinite(f_k):
             raise NumericalFailureError(
@@ -557,7 +605,7 @@ def solve(
             finally:
                 W.flags.writeable, H.flags.writeable = writeable
             if state.W is not W or state.H is not H:
-                products = None
+                info.pop("products", None)
         if target is not None:
             done, reason = f_k <= target, "target"
         else:

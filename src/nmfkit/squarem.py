@@ -113,6 +113,9 @@ def squarem_step(
         raise ContractViolationError(f"SQUAREM accelerates PARINOM or MU, not {base!r}")
     x0 = state
     x1, _ = step(V, x0, products=products)
+    # Only the first application reads x0's products; drop them before x2's
+    # are formed.
+    products = None
     x2, info = step(V, x1, v_sq=v_sq)
     f2, p2 = info["objective"], info.get("products")
 

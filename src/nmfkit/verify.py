@@ -108,7 +108,7 @@ def psd_gap(A) -> float:
 def kkt_ratio(V, config: SolverConfig) -> float:
     """Combined KKT residual after the solve over the one at its seeded start,
     which the solve is given as its iterate 0."""
-    start = solvers.initial_factors(V, config)
+    start = solvers.initial_factors(V, config.rank, config.seed)
     before = diagnostics.kkt_residual(V, start.W, start.H).combined
     pair, _ = solvers.solve(V, config, init=start)
     return diagnostics.kkt_residual(V, pair.W, pair.H).combined / before

@@ -39,7 +39,7 @@ def random_instance(seed, n=10, m=12, r=3, normalized=True):
 def with_target_at(V, config, fraction):
     """``config`` with ``target`` at ``fraction`` times the objective of its
     seeded start, which a solve without ``init`` takes as iterate 0."""
-    start = initial_factors(V, config)
+    start = initial_factors(V, config.rank, config.seed)
     f0 = linalg.frobenius_residual(V, start.W, start.H)
     return replace(config, target=fraction * f0)
 

@@ -72,6 +72,12 @@ class TestScenario:
         with pytest.raises(ContractViolationError):
             BenchScenario(name="x", n=10, m=10, rank_values=(10,))
 
+    @pytest.mark.parametrize("ranks", [(0,), (2, 0), (-1, 3)])
+    def test_rank_below_one_rejected_at_construction(self, ranks):
+        # Such a cell would otherwise abort run_scenario part way through.
+        with pytest.raises(ContractViolationError, match="must all be >= 1"):
+            BenchScenario(name="x", n=10, m=10, rank_values=ranks)
+
     def test_single_cell_table(self):
         scenario = BenchScenario(
             name="tiny",
@@ -142,8 +148,7 @@ class TestScenario:
             cell = calls[3 * k : 3 * k + 3]
             assert [c.algorithm for c, _, _ in cell] == list(scenario.algorithms)
             seed = bench.derive_seed(scenario.seed, 0, 1, r)
-            seeded_config = SolverConfig(Algorithm.MU, r, seed=seed)
-            seeded = solvers.initial_factors(V, seeded_config)
+            seeded = solvers.initial_factors(V, r, seed)
             for config, init, trace in cell:
                 assert np.array_equal(init.W, seeded.W)
                 assert np.array_equal(init.H, seeded.H)
@@ -198,10 +203,10 @@ class TestScenario:
     def test_failing_cell_start_recorded_for_every_algorithm(self, monkeypatch):
         real = solvers.initial_factors
 
-        def broken_at_rank_2(V, config):
-            if config.rank == 2:
+        def broken_at_rank_2(V, rank, seed):
+            if rank == 2:
                 raise NumericalFailureError("injected start fault")
-            return real(V, config)
+            return real(V, rank, seed)
 
         monkeypatch.setattr(solvers, "initial_factors", broken_at_rank_2)
         scenario = BenchScenario(

@@ -159,6 +159,24 @@ class TestFactorize:
             assert f"largest entry {float(V.max())!r}" in proc.stderr
         assert not (tmp_path / "W.csv").exists()
 
+    def test_underflowing_scale_exits_one(self, tmp_path, capsys):
+        # ||V||_F**2 of entries near 1e-300 underflows to a subnormal; the
+        # solve must refuse V at the boundary, not report a collapsed column.
+        inp = str(tmp_path / "v.csv")
+        gen = ["generate", "dense", "--n", "100", "--m", "200", "--lo", "1e-300",
+               "--hi", "2e-300", "--seed", "3", "--out", inp]
+        assert main(gen) == EXIT_OK
+        outs = ["--out-w", str(tmp_path / "W.csv"), "--out-h", str(tmp_path / "H.csv")]
+        capsys.readouterr()
+        code = main(["factorize", inp, "--rank", "4", "--algo", "inom", *outs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        V = linalg.read_matrix_csv(inp)
+        assert err.startswith("nmfkit: invalid request: ")
+        assert f"largest entry {float(V.max())!r}" in err
+        assert "collapsed" not in err
+        assert not (tmp_path / "W.csv").exists()
+
     def test_rank_too_large_is_usage_error(self, tmp_path, capsys):
         inp = write_csv(tmp_path / "v.csv", np.ones((2, 3)))
         code = main(["factorize", inp, "--rank", "5"])
@@ -400,7 +418,7 @@ def _perturbed_map(original):
 def _returns_start(original):
     def solve(V, config, init=None, **kwargs):
         _, trace = original(V, config, init, **kwargs)
-        return solvers.initial_factors(V, config), trace
+        return solvers.initial_factors(V, config.rank, config.seed), trace
 
     return solve
 

@@ -60,7 +60,7 @@ class TestKktResidual:
             )
             from nmfkit.solvers import initial_factors
 
-            start = initial_factors(V, config)
+            start = initial_factors(V, config.rank, config.seed)
             before = kkt_residual(V, start.W, start.H).combined
             pair, _ = solve(V, config)
             after = kkt_residual(V, pair.W, pair.H).combined

@@ -120,7 +120,7 @@ class TestInomIterate:
         rng = np.random.default_rng(10)
         V = linalg.normalize_columns(rng.uniform(100.0, 200.0, (100, 200)))
         config = SolverConfig(algorithm=Algorithm.INOM, rank=1, seed=11)
-        state = initial_factors(V, config)
+        state = initial_factors(V, config.rank, config.seed)
         f0 = objective(V, state)
         f1 = objective(V, inom_iterate(V, state)[0])
         assert f1 < f0
@@ -165,6 +165,41 @@ class TestParinom:
             f0 = objective(V, pair)
             out, _ = parinom_iterate(V, pair)
             assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
+
+    def test_quarter_power_step_matches_pow_form(self):
+        rng = np.random.default_rng(410)
+        for shape in [(7, 3), (3, 11), (40, 20)]:
+            N, D, X = (rng.uniform(0.05, 5.0, shape) for _ in range(3))
+            pow_form = np.maximum(solvers.POSITIVITY_FLOOR, ((N * X**4) / D) ** 0.25)
+            buf = D.copy()
+            got = solvers._quarter_power_step(N, buf, X, "W")
+            assert got is buf  # written into the step's own denominator
+            assert np.all(np.abs(got - pow_form) <= 1e-14 * pow_form)
+
+    def test_planted_pair_with_huge_h_is_fixed_point(self):
+        # H * H**3 overflows here, so a step that forms H**4 turns H into inf.
+        V, pair = planted_instance(3)
+        H = pair.H * 1e80
+        V = pair.W @ H
+        out, _ = parinom_iterate(V, FactorPair(pair.W, H))
+        assert np.all(np.isfinite(out.H))
+        assert np.abs(out.W - pair.W).max() <= 1e-12
+        assert (np.abs(out.H - H) / H).max() <= 1e-12
+
+    def test_inputs_and_carried_products_unchanged(self):
+        V, pair = random_instance(411, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        W0, H0 = pair.W.copy(), pair.H.copy()
+        products = fresh_products(V, pair)
+        saved = tuple(p.copy() for p in products)
+        out, info = parinom_iterate(V, pair, v_sq=v_sq, products=products)
+        assert np.array_equal(pair.W, W0) and np.array_equal(pair.H, H0)
+        for p, q in zip(products, saved):
+            assert np.array_equal(p, q)
+        # The returned pair and its products share no memory with the inputs.
+        for a in (out.W, out.H, *info["products"]):
+            for b in (V, pair.W, pair.H, *products):
+                assert not np.shares_memory(a, b)
 
 
 class TestPositivityGuard:
@@ -272,6 +307,14 @@ class TestSolve:
         with pytest.raises(ContractViolationError):
             solve(V, config)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-300])
+    def test_underflowing_norm_rejected(self, scale):
+        # ||V||_F**2 below the smallest normal float64, an all-zero V included.
+        V = scale * np.ones((3, 4))
+        config = SolverConfig(algorithm=Algorithm.INOM, rank=2)
+        with pytest.raises(ContractViolationError, match=f"largest entry {scale!r}"):
+            solve(V, config)
+
     def test_negative_data_rejected(self):
         V = np.array([[1.0, -1.0]])
         with pytest.raises(ContractViolationError):
@@ -317,7 +360,7 @@ class TestSolve:
         config = SolverConfig(algorithm=Algorithm.MU, rank=3, max_iters=2, seed=23)
         _, trace = solve(V, config, init=start)
         assert trace.objectives[0] == objective(V, start)
-        seeded = initial_factors(V, config)
+        seeded = initial_factors(V, config.rank, config.seed)
         assert trace.objectives[0] != objective(V, seeded)
 
     def test_infinite_tol_two_point_trace(self):
@@ -407,8 +450,8 @@ class TestSolve:
     def test_initial_factors_deterministic(self):
         V = np.ones((6, 7))
         config = SolverConfig(algorithm=Algorithm.INOM, rank=3, seed=19)
-        a = initial_factors(V, config)
-        b = initial_factors(V, config)
+        a = initial_factors(V, config.rank, config.seed)
+        b = initial_factors(V, config.rank, config.seed)
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.H, b.H)
         a.validate()
@@ -468,7 +511,7 @@ def fresh_products(V, pair):
 def uncarried_solve(V, config, steps):
     """``steps`` iterations of ``config``'s map, each called without products,
     as (final pair, objectives, backtracks)."""
-    state = initial_factors(V, config)
+    state = initial_factors(V, config.rank, config.seed)
     v_sq = float(np.vdot(V, V))
     f = [objective(V, state)]
     backtracks = []
@@ -594,7 +637,7 @@ class TestCallbackGuard:
                 state.H = 1.5 * state.H
 
         pair, _ = solve(V, config, callback=shake)
-        state = initial_factors(V, config)
+        state = initial_factors(V, config.rank, config.seed)
         for k in range(1, 7):
             state, _ = BASE_MAPS[alg](V, state)
             if k == 3:

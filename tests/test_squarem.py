@@ -1,12 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
-from nmfkit import linalg
+from nmfkit import linalg, squarem
 from nmfkit.errors import ContractViolationError
 from nmfkit.solvers import Algorithm, FactorPair, SolverConfig, parinom_iterate, solve
 from nmfkit.squarem import AccelState, squarem_step
 
-from _util import MatmulCounter, planted_instance, random_instance
+from _util import MatmulCounter, planted_instance, random_instance, traced_peak
 
 
 def objective(V, pair):
@@ -50,6 +52,23 @@ class TestSquaremStep:
             assert np.array_equal(out.W, x2.W)
             assert np.array_equal(out.H, x2.H)
             assert isinstance(accel, AccelState)
+
+    def test_alpha_minus_one_identity_with_carried_products_at_large_scale(self):
+        # With H near 1e80 a PARINOM step that forms H**4 overflows; the
+        # square-root step does not, and alpha = -1 still gives x2 exactly.
+        for i in range(3):
+            V, pair = random_instance(120 + i)
+            V, pair = 1e80 * V, FactorPair(pair.W, 1e80 * pair.H)
+            products = (pair.W.T @ V, pair.W.T @ pair.W, pair.H @ pair.H.T)
+            x1, _ = parinom_iterate(V, pair, products=products)
+            x2, _ = parinom_iterate(V, x1)
+            out, accel = accelerate(
+                V, pair, Algorithm.PARINOM, force_alpha=-1.0, products=products
+            )
+            assert np.all(np.isfinite(out.H))
+            assert np.array_equal(out.W, x2.W)
+            assert np.array_equal(out.H, x2.H)
+            assert np.isfinite(accel.objective)
 
     def test_accepted_steps_monotone_and_dominate_plain(self):
         # 5 seeded instances, 50 accelerated steps against 100 plain steps:
@@ -165,3 +184,28 @@ class TestAcceleratedSolve:
             assert trace.is_monotone()
             pair.validate()
             assert trace.records[1].backtracks is not None
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="older interpreters keep call arguments on the caller's stack",
+    )
+    def test_solve_keeps_no_carried_products_past_first_application(self, monkeypatch):
+        # A caller that holds the carried products through the step, as
+        # solve once did, keeps W^T V (r x m) alive while the step forms its
+        # two-step iterate's products; solve hands them over instead.
+        rng = np.random.default_rng(530)
+        V = linalg.normalize_columns(rng.uniform(0.0, 1.0, (60, 300)))
+        r, m = 20, V.shape[1]
+        config = SolverConfig(Algorithm.ACC_PARINOM, rank=r, tol=1e-300, max_iters=5, seed=6)
+        (pair, trace), handed = traced_peak(solve, V, config)
+        real = squarem.squarem_step
+
+        def holding(V, state, base, *, products=None, **kw):
+            return real(V, state, base, products=products, **kw)
+
+        monkeypatch.setattr(squarem, "squarem_step", holding)
+        (held_pair, held_trace), held = traced_peak(solve, V, config)
+        assert np.array_equal(pair.W, held_pair.W)
+        assert np.array_equal(pair.H, held_pair.H)
+        assert np.array_equal(trace.objectives, held_trace.objectives)
+        assert held - handed >= r * m * 8
