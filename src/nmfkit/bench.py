@@ -38,14 +38,8 @@ __all__ = [
     "sim3_scenarios",
 ]
 
-ALL_ALGORITHMS = (
-    Algorithm.INOM,
-    Algorithm.PARINOM,
-    Algorithm.MU,
-    Algorithm.FAST_HALS,
-    Algorithm.ACC_PARINOM,
-    Algorithm.ACC_MU,
-)
+# Every algorithm, in the enum's order, which is the order of every output.
+ALL_ALGORITHMS = tuple(Algorithm)
 
 
 # The table presets stop each solve at this fraction of its cell's starting

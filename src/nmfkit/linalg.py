@@ -43,21 +43,31 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _first_non_finite(M: np.ndarray):
+    """Index ``(i, j)`` of the first non-finite entry of ``M`` in row order,
+    or None when every entry is finite. ``M.min()`` and ``M.max()`` propagate
+    NaN and show an infinity, so a finite ``M`` is checked without an n x m
+    mask; only a non-finite one is searched."""
+    if np.isfinite(M.min()) and np.isfinite(M.max()):
+        return None
+    i, j = np.argwhere(~np.isfinite(M))[0]
+    return i, j
+
+
 def require_nonnegative(M: np.ndarray, name: str = "matrix") -> None:
     """Raise :class:`ContractViolationError` unless every entry of ``M`` is
     finite and nonnegative.
 
-    The check reads ``M.min()`` and ``M.max()``, which propagate NaN and show
-    an infinity without an n x m mask; only on the error path is the first
-    offending entry searched for and named.
+    No n x m mask is formed unless the check fails; then the first
+    offending entry is searched for and named.
     """
-    lo, hi = M.min(), M.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        i, j = np.argwhere(~np.isfinite(M))[0]
+    bad = _first_non_finite(M)
+    if bad is not None:
+        i, j = bad
         raise ContractViolationError(
             f"{name} must be finite; entry ({i}, {j}) is {float(M[i, j])!r}"
         )
-    if lo < 0:
+    if M.min() < 0:
         i, j = np.argwhere(M < 0)[0]
         raise ContractViolationError(
             f"{name} must be entrywise nonnegative; entry ({i}, {j}) is "
@@ -65,13 +75,9 @@ def require_nonnegative(M: np.ndarray, name: str = "matrix") -> None:
         )
 
 
-# The row blocks of frobenius_residual and column_norms hold at most this many
-# entries (1 MiB of float64), so their work arrays stay small whatever n is.
+# The row blocks of frobenius_residual hold at most this many entries (1 MiB
+# of float64), so its work array stays small whatever n is.
 BLOCK_ENTRIES = 2**17
-
-
-def _block_rows(m: int) -> int:
-    return max(1, BLOCK_ENTRIES // m)
 
 
 def frobenius_residual(V, W, H) -> float:
@@ -106,7 +112,7 @@ def frobenius_residual(V, W, H) -> float:
         raise ShapeError(
             f"cannot form V - W H from V {V.shape}, W {W.shape}, H {H.shape}"
         )
-    rows = _block_rows(m)
+    rows = max(1, BLOCK_ENTRIES // m)
     buf = np.empty((min(rows, n), m))
     total = 0.0
     for s in range(0, n, rows):
@@ -145,28 +151,17 @@ def gram_objective(V, W, H, v_sq: float, cross: float, WtW, HHt) -> float:
 def column_norms(M: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of ``M`` as a 1-D array.
 
-    A C-ordered matrix of at least two columns and more rows than one block
-    of ``BLOCK_ENTRIES`` entries is squared one row block at a time, so the
-    work array is one block, not a copy of ``M``. numpy sums axis 0 of such a
-    matrix row by row, so carrying the running sums into each block as its
-    first row gives the same bits as the one-shot sum, which every other
-    input uses. A single column is excluded because it is also F-ordered,
-    and numpy then sums it pairwise.
+    A C-ordered matrix of at least two columns is reduced by ``einsum`` in
+    one pass, with no work array besides the result. It adds the squares row
+    by row, as the one-shot ``np.sum(M * M, axis=0)`` does on such a matrix,
+    so the bits are the same. Every other input takes the one-shot sum: numpy
+    sums a single column, which is also F-ordered, pairwise, and a strided or
+    F-ordered matrix in yet another order.
     """
     M = as_matrix(M, "M")
-    n, m = M.shape
-    rows = _block_rows(m)
-    if m < 2 or n <= rows or not M.flags.c_contiguous:
-        return np.sqrt(np.sum(M * M, axis=0))
-    buf = np.empty((rows + 1, m))
-    sums = np.zeros(m)
-    for s in range(0, n, rows):
-        block = M[s : s + rows]
-        k = block.shape[0]
-        buf[0] = sums
-        np.square(block, out=buf[1 : k + 1])
-        np.sum(buf[: k + 1], axis=0, out=sums)
-    return np.sqrt(sums)
+    if M.shape[1] >= 2 and M.flags.c_contiguous:
+        return np.sqrt(np.einsum("ij,ij->j", M, M))
+    return np.sqrt(np.sum(M * M, axis=0))
 
 
 def nonzero_column_norms(M) -> np.ndarray:
@@ -236,9 +231,9 @@ def write_matrix_csv(path, M) -> None:
     path is opened, so an existing file keeps its bytes.
     """
     M = as_matrix(M, "M")
-    # min and max propagate NaN and show an infinity, without an n x m mask.
-    if not (np.isfinite(M.min()) and np.isfinite(M.max())):
-        i, j = np.argwhere(~np.isfinite(M))[0]
+    bad = _first_non_finite(M)
+    if bad is not None:
+        i, j = bad
         raise ContractViolationError(
             f"cannot write a non-finite entry: ({i}, {j}) is {float(M[i, j])!r}"
         )
@@ -324,10 +319,7 @@ def _read_loadtxt(fh):
             return None
     except ValueError:
         return None
-    # min and max propagate NaN and show an infinity, without an n x m mask.
-    if out.shape != (rows, cols) or not (
-        np.isfinite(out.min()) and np.isfinite(out.max())
-    ):
+    if out.shape != (rows, cols) or _first_non_finite(out) is not None:
         return None
     return out
 
@@ -376,8 +368,9 @@ def _read_strict(fh) -> np.ndarray:
             out[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from None
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out))[0]
+    bad = _first_non_finite(out)
+    if bad is not None:
+        i, j = bad
         raise CsvFormatError(
             f"value {j + 1} is {float(out[i, j])!r}; entries must be finite",
             line=body[i][0],

@@ -7,7 +7,8 @@ W from the new H. PARINOM builds both factor updates from the incoming pair
 (the paper's "parallel" update), so they are independent; they are
 evaluated one after the other. Its maps are ``W o (V H^T / (W H H^T))^{1/4}``
 and ``H o (W^T V / (W^T W H))^{1/4}``, with the quarter power taken as two
-square roots and written into the step's own denominator.
+square roots. MU takes the same ratios to the first power. Both share one
+floored ratio step, written into the step's own freshly formed denominator.
 
 Conventions kept by every full iteration:
   * both factors stay entrywise nonnegative;
@@ -201,10 +202,11 @@ class IterationTrace:
     def iterations(self) -> int:
         return self.records[-1].iteration
 
-    def is_monotone(self, slack: float = MONOTONE_SLACK) -> bool:
-        """True when f never rises by more than ``slack * max(1, f)``."""
+    def is_monotone(self) -> bool:
+        """True when f never rises by more than ``MONOTONE_SLACK * max(1, f)``."""
         f = self.objectives
-        return bool(np.all(f[1:] <= f[:-1] + slack * np.maximum(1.0, f[:-1])))
+        rise = MONOTONE_SLACK * np.maximum(1.0, f[:-1])
+        return bool(np.all(f[1:] <= f[:-1] + rise))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -305,26 +307,26 @@ def inom_iterate(
     return pair, info
 
 
-def _require_nonzero_denominator(denominator, update: str) -> None:
-    """Raise :class:`PositivityError` when the denominator of a ratio update
-    has a zero entry. It is a product of nonnegative factors, so its minimum
-    is zero exactly when some entry is."""
+def _ratio_step(numerator, denominator, X, what, *, quarter=False):
+    """``max(POSITIVITY_FLOOR, X o (numerator / denominator))``, with the
+    ratio taken to the quarter power as two square roots when ``quarter``,
+    written into ``denominator``, which the caller has just formed and hands
+    over; ``numerator`` and ``X`` are only read.
+
+    Raises :class:`PositivityError` when the denominator has a zero entry. It
+    is a product of nonnegative factors, so its minimum is zero exactly when
+    some entry is.
+    """
     if denominator.min() == 0.0:
         raise PositivityError(
-            f"zero denominator entry in the {update} update; factors must stay "
+            f"zero denominator entry in the {what} update; factors must stay "
             "strictly positive"
         )
-
-
-def _quarter_power_step(numerator, denominator, X, what):
-    """``max(POSITIVITY_FLOOR, X o sqrt(sqrt(numerator / denominator)))``,
-    written into ``denominator``, which the caller has just formed and hands
-    over; ``numerator`` and ``X`` are only read."""
-    _require_nonzero_denominator(denominator, what)
     out = denominator
     np.divide(numerator, out, out=out)
-    np.sqrt(out, out=out)
-    np.sqrt(out, out=out)
+    if quarter:
+        np.sqrt(out, out=out)
+        np.sqrt(out, out=out)
     np.multiply(X, out, out=out)
     return np.maximum(out, POSITIVITY_FLOOR, out=out)
 
@@ -347,8 +349,8 @@ def parinom_update(V, W, H, *, products=None):
     written.
     """
     WtV, WtW, HHt = (W.T @ V, W.T @ W, H @ H.T) if products is None else products
-    Wn = _quarter_power_step(V @ H.T, W @ HHt, W, "W")
-    Hn = _quarter_power_step(WtV, WtW @ H, H, "H")
+    Wn = _ratio_step(V @ H.T, W @ HHt, W, "W", quarter=True)
+    Hn = _ratio_step(WtV, WtW @ H, H, "H", quarter=True)
     return Wn, Hn
 
 
@@ -386,19 +388,17 @@ def mu_iterate(
 
     The H step uses the freshly updated W in both its numerator and
     denominator, which keeps exact factorizations fixed points of the map.
-    W is renormalized (scales moved into H) after the pair of updates. With
-    ``v_sq`` the objective reuses the H step's ``W'^T V`` and ``W'^T W'``.
+    Each update is PARINOM's floored ratio step without the quarter power,
+    written into its own denominator. W is renormalized (scales moved into
+    H) after the pair of updates. With ``v_sq`` the objective reuses the H
+    step's ``W'^T V`` and ``W'^T W'``.
     ``products`` is ignored and none are returned.
     """
     W, H = state.W, state.H
-    den_w = W @ (H @ H.T)
-    _require_nonzero_denominator(den_w, "MU W")
-    Wn = np.maximum(POSITIVITY_FLOOR, W * ((V @ H.T) / den_w))
+    Wn = _ratio_step(V @ H.T, W @ (H @ H.T), W, "MU W")
     WtW = Wn.T @ Wn
-    den_h = WtW @ H
-    _require_nonzero_denominator(den_h, "MU H")
     WtV = Wn.T @ V
-    Hn = np.maximum(POSITIVITY_FLOOR, H * (WtV / den_h))
+    Hn = _ratio_step(WtV, WtW @ H, H, "MU H")
     pair = FactorPair(*normalize_pair(Wn, Hn))
     if v_sq is None:
         return pair, {}

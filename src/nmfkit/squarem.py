@@ -74,6 +74,21 @@ def _extrapolate(x0, r, v, alpha: float) -> np.ndarray:
     return np.maximum(POSITIVITY_FLOOR, x0 - 2.0 * alpha * r + alpha * alpha * v)
 
 
+def _start_alpha(r, v, force_alpha: float | None) -> float:
+    """-||r||_F / ||v||_F, or ``force_alpha`` when given; -1, which pins the
+    factor to its two-step value, when ||v||_F is below ``DEGENERATE_NORM``."""
+    nv = _frob(v)
+    if nv < DEGENERATE_NORM:
+        return -1.0
+    return -_frob(r) / nv if force_alpha is None else force_alpha
+
+
+def _backtrack(alpha: float) -> float:
+    """Halve ``|alpha + 1|``, snapping to -1 once negligible; -1 stays -1."""
+    alpha = (alpha - 1.0) / 2.0
+    return -1.0 if abs(alpha + 1.0) < _ALPHA_SNAP else alpha
+
+
 def squarem_step(
     V,
     state: FactorPair,
@@ -91,18 +106,19 @@ def squarem_step(
     x1 = step(x0) and x2 = step(x1), r = x1 - x0, v = x2 - x1 - r and
     alpha = -||r||_F / ||v||_F, the candidate is
     ``max(POSITIVITY_FLOOR, x0 - 2 alpha r + alpha^2 v)``, with the W
-    candidate column-normalized. While the candidate objective exceeds the
-    objective at x0, both alphas move as alpha <- (alpha - 1) / 2 and the
-    candidate is rebuilt. A factor whose ||v|| is below
-    ``DEGENERATE_NORM`` skips extrapolation and takes its two-step value.
-    If the accepted extrapolation is still worse than the plain two-step
-    iterate, the two-step iterate is returned, so acceleration never loses
-    to simply applying the map twice.
+    candidate column-normalized. An alpha of exactly -1 pins its factor to
+    its two-step value, and a factor whose ||v|| is below ``DEGENERATE_NORM``
+    starts pinned. While the candidate objective exceeds the objective at x0
+    and a factor is unpinned, both alphas move as alpha <- (alpha - 1) / 2,
+    which keeps -1 at -1, and the candidate is rebuilt. If the accepted
+    extrapolation is still worse than the plain two-step iterate, the
+    two-step iterate is returned, so acceleration never loses to simply
+    applying the map twice.
 
-    ``force_alpha`` pins both alphas (useful for checking the alpha = -1
-    identity, which reproduces the two-step iterate exactly). ``f0`` is the
-    objective of ``state`` and ``v_sq`` is ``||V||_F**2``; ``solve`` already
-    holds both. ``products`` are those of ``state``, as the previous step's
+    ``force_alpha`` sets the alpha of every factor that is not degenerate
+    (useful for checking the alpha = -1 identity, which reproduces the
+    two-step iterate exactly). ``f0`` is the objective of ``state`` and
+    ``v_sq`` is ``||V||_F**2``; ``solve`` already holds both. ``products`` are those of ``state``, as the previous step's
     :class:`AccelState` returned them, or None to form them here.
     """
     if base is Algorithm.PARINOM:
@@ -124,25 +140,16 @@ def squarem_step(
     rh = x1.H - x0.H
     vh = x2.H - x1.H - rh
 
-    nvw = _frob(vw)
-    nvh = _frob(vh)
-    degen_w = nvw < DEGENERATE_NORM
-    degen_h = nvh < DEGENERATE_NORM
-
-    alpha_w = -1.0 if degen_w else -_frob(rw) / nvw
-    alpha_h = -1.0 if degen_h else -_frob(rh) / nvh
-    if force_alpha is not None:
-        alpha_w = alpha_h = force_alpha
+    alpha_w = _start_alpha(rw, vw, force_alpha)
+    alpha_h = _start_alpha(rh, vh, force_alpha)
 
     def build(aw: float, ah: float) -> tuple[FactorPair, float, Optional[tuple]]:
-        w_is_x2 = degen_w or aw == -1.0
-        h_is_x2 = degen_h or ah == -1.0
-        if w_is_x2 and h_is_x2:
+        if aw == ah == -1.0:
             # Return the two-step iterate verbatim (already normalized);
             # renormalizing would perturb it at roundoff level.
             return x2.copy(), f2, p2
-        Wc = x2.W if w_is_x2 else _extrapolate(x0.W, rw, vw, aw)
-        Hc = x2.H if h_is_x2 else _extrapolate(x0.H, rh, vh, ah)
+        Wc = x2.W if aw == -1.0 else _extrapolate(x0.W, rw, vw, aw)
+        Hc = x2.H if ah == -1.0 else _extrapolate(x0.H, rh, vh, ah)
         Wc, Hc = normalize_pair(Wc, Hc)
         pc = (Wc.T @ V, Wc.T @ Wc, Hc @ Hc.T)
         cross = float(np.vdot(pc[0], Hc))
@@ -151,25 +158,14 @@ def squarem_step(
 
     candidate, f_candidate, p_candidate = build(alpha_w, alpha_h)
     backtracks = 0
-    while f_candidate > f0:
-        pinned_w = degen_w or alpha_w == -1.0
-        pinned_h = degen_h or alpha_h == -1.0
-        if pinned_w and pinned_h:
-            # Candidate equals the two-step iterate; accept it on the base
-            # map's own monotonicity.
-            break
+    # Once both factors are pinned the candidate is the two-step iterate,
+    # accepted on the base map's own monotonicity.
+    while f_candidate > f0 and not alpha_w == alpha_h == -1.0:
         if backtracks >= MAX_BACKTRACKS:
             raise NumericalFailureError(
                 f"backtracking failed to restore descent after {backtracks} rounds"
             )
-        if not pinned_w:
-            alpha_w = (alpha_w - 1.0) / 2.0
-            if abs(alpha_w + 1.0) < _ALPHA_SNAP:
-                alpha_w = -1.0
-        if not pinned_h:
-            alpha_h = (alpha_h - 1.0) / 2.0
-            if abs(alpha_h + 1.0) < _ALPHA_SNAP:
-                alpha_h = -1.0
+        alpha_w, alpha_h = _backtrack(alpha_w), _backtrack(alpha_h)
         backtracks += 1
         # Drop the rejected candidate's products before forming the next.
         p_candidate = None

@@ -246,10 +246,10 @@ class TestFactorize:
 
 class TestFactorizeMemory:
     """``factorize --normalize`` holds one copy of V: the reader allocates it
-    once, ``--normalize`` divides it in place, and the exact residual and
-    the column norms work in row blocks of at most ``linalg.BLOCK_ENTRIES``
-    entries. The peak is V plus about 1 MiB, so its ratio to V falls toward
-    1 as V grows."""
+    once, ``--normalize`` divides it in place, the column norms are summed in
+    one pass with no work array, and the exact residual works in row blocks
+    of at most ``linalg.BLOCK_ENTRIES`` entries. The peak is V plus about
+    1 MiB, so its ratio to V falls toward 1 as V grows."""
 
     @staticmethod
     def _argv(d, algo):

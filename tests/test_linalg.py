@@ -111,6 +111,13 @@ class TestColumnNorms:
         _, peak = traced_peak(linalg.column_norms, M)
         assert peak < 0.5 * M.nbytes
 
+    def test_one_pass_allocates_no_work_array(self):
+        # Several of the 1 MiB row blocks the norms were once summed in; the
+        # one-pass sum allocates little more than its m-long result.
+        M = np.random.default_rng(15).uniform(0, 1, (8 * self.BLOCK_ROWS, self.M_COLS))
+        _, peak = traced_peak(linalg.column_norms, M)
+        assert peak < 64 * 1024
+
 
 class TestNormalizeColumns:
     def test_three_four_five(self):

@@ -172,7 +172,7 @@ class TestParinom:
             N, D, X = (rng.uniform(0.05, 5.0, shape) for _ in range(3))
             pow_form = np.maximum(solvers.POSITIVITY_FLOOR, ((N * X**4) / D) ** 0.25)
             buf = D.copy()
-            got = solvers._quarter_power_step(N, buf, X, "W")
+            got = solvers._ratio_step(N, buf, X, "W", quarter=True)
             assert got is buf  # written into the step's own denominator
             assert np.all(np.abs(got - pow_form) <= 1e-14 * pow_form)
 
@@ -233,6 +233,19 @@ class TestMu:
         assert out.W == np.array([[1.0]])
         assert out.H == np.array([[2.0]])
         assert linalg.frobenius_residual(V, out.W, out.H) == 0.0
+
+    def test_ratio_step_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(510)
+        for shape in [(7, 3), (3, 11), (40, 20)]:
+            N, D, X = (rng.uniform(0.05, 5.0, shape) for _ in range(3))
+            X[0] *= 1e-13  # a row whose update falls to the floor
+            N0, X0 = N.copy(), X.copy()
+            out_of_place = np.maximum(solvers.POSITIVITY_FLOOR, X * (N / D))
+            buf = D.copy()
+            got = solvers._ratio_step(N, buf, X, "MU W")
+            assert got is buf  # written into the step's own denominator
+            assert got.tobytes() == out_of_place.tobytes()
+            assert np.array_equal(N, N0) and np.array_equal(X, X0)
 
     def test_objective_decreases(self):
         for i in range(5):

@@ -5,7 +5,14 @@ import pytest
 
 from nmfkit import linalg, squarem
 from nmfkit.errors import ContractViolationError
-from nmfkit.solvers import Algorithm, FactorPair, SolverConfig, parinom_iterate, solve
+from nmfkit.solvers import (
+    Algorithm,
+    FactorPair,
+    SolverConfig,
+    normalize_pair,
+    parinom_iterate,
+    solve,
+)
 from nmfkit.squarem import AccelState, squarem_step
 
 from _util import MatmulCounter, planted_instance, random_instance, traced_peak
@@ -108,6 +115,33 @@ class TestSquaremStep:
         V, pair = random_instance(310)
         with pytest.raises(ContractViolationError):
             accelerate(V, pair, base)
+
+    def test_degenerate_factor_is_pinned_while_the_other_extrapolates(self, monkeypatch):
+        # A base map that leaves W unchanged and moves H halfway to a planted
+        # H*: W's squared difference is zero, so alpha_w starts at -1, while
+        # H's alpha of -2 lands on H* in one extrapolation.
+        V, planted = planted_instance(5, n=6, m=8, r=2)
+        H_star = planted.H
+
+        def fake(V, pair, *, v_sq=None, products=None):
+            out = FactorPair(pair.W.copy(), 0.5 * pair.H + 0.5 * H_star)
+            info = {} if v_sq is None else {"objective": objective(V, out)}
+            return out, info
+
+        monkeypatch.setattr(squarem, "parinom_iterate", fake)
+        x0 = FactorPair(planted.W, 2.0 * H_star + 0.3)
+        x1, _ = fake(V, x0)
+        x2, _ = fake(V, x1)
+        out, accel = accelerate(V, x0, Algorithm.PARINOM)
+        assert accel.alpha_w == -1.0
+        assert accel.alpha_h != -1.0
+        assert accel.backtracks == 0
+        rh = x1.H - x0.H
+        vh = x2.H - x1.H - rh
+        W, H = normalize_pair(x2.W, squarem._extrapolate(x0.H, rh, vh, accel.alpha_h))
+        assert np.array_equal(out.W, W)
+        assert np.array_equal(out.H, H)
+        assert objective(V, out) < objective(V, x2)
 
     def test_halving_drives_alpha_to_minus_one(self):
         alpha = -7.3
