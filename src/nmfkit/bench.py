@@ -245,6 +245,8 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
 
 
 def _scaled(value: int, scale: float) -> int:
+    if not 0.0 < scale <= 1.0:
+        raise ContractViolationError(f"scale must be in (0, 1], got {scale}")
     return max(1, int(round(value * scale)))
 
 

@@ -50,6 +50,16 @@ def _algorithm(value: str) -> Algorithm:
         ) from None
 
 
+def _seed(value: str) -> int:
+    # numpy's generators refuse a negative seed; refuse it here, as a usage
+    # error, before any work starts.
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer, got {value!r}"
+        )
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nmfkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", type=_algorithm, default=Algorithm.INOM)
     p.add_argument("--tol", type=float, default=solvers.DEFAULT_TOL)
     p.add_argument("--max-iters", type=int, default=solvers.DEFAULT_MAX_ITERS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--normalize",
         action="store_true",
@@ -79,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scale", type=float, default=None, help="size scale in (0, 1]")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="bench-out", help="output directory")
     p.set_defaults(func=cmd_bench)
 
@@ -87,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-var", type=float, default=0.01)
     p.add_argument("--sample-rate", type=float, default=100.0)
     p.add_argument("--algo", type=_algorithm, default=Algorithm.INOM)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default="bss-out")
     p.set_defaults(func=cmd_bss)
 
     p = sub.add_parser("verify", help="run the invariant verification suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(func=cmd_verify)
 
@@ -103,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=100.0, help="dense: lower bound")
     p.add_argument("--hi", type=float, default=200.0, help="dense: upper bound")
     p.add_argument("--sparsity", type=float, default=0.7, help="sparse: zero fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="V.csv")
     p.set_defaults(func=cmd_generate)
 
@@ -147,16 +157,6 @@ def cmd_bench(args) -> int:
     scale = args.scale
     if scale is None:
         scale = 1.0 if args.preset == "sim1" else 0.05
-    if not 0.0 < scale <= 1.0:
-        print(f"nmfkit bench: error: --scale must be in (0, 1], got {scale}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.trials < 1:
-        print(f"nmfkit bench: error: --trials must be >= 1, got {args.trials}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
-
     if args.preset == "sim1":
         result = bench.sim1_run(scale=scale, seed=args.seed)
         bench.sim1_write_outputs(args.out, result)
@@ -182,6 +182,7 @@ def cmd_bench(args) -> int:
         scenarios = bench.sim3_scenarios(
             scale=scale, trials=args.trials, seed=args.seed
         )
+    os.makedirs(args.out, exist_ok=True)
 
     results = bench.BenchResults()
     for scenario in scenarios:
@@ -275,12 +276,6 @@ def solve_bss(
 
 
 def cmd_bss(args) -> int:
-    if args.noise_var < 0:
-        print(
-            f"nmfkit bss: error: --noise-var must be nonnegative, got {args.noise_var}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     scenario = datagen.BssScenario(
         noise_variance=args.noise_var,
         sample_rate_hz=args.sample_rate,

@@ -24,7 +24,7 @@ __all__ = [
 
 
 def generate_dense_uniform(n: int, m: int, lo: float, hi: float, seed: int) -> np.ndarray:
-    """n x m matrix with i.i.d. uniform entries on [lo, hi), 0 <= lo < hi.
+    """n x m matrix with i.i.d. uniform entries on [lo, hi), 0 <= lo < hi < inf.
 
     Columns are not normalized; the caller decides whether to do that.
     """
@@ -32,8 +32,8 @@ def generate_dense_uniform(n: int, m: int, lo: float, hi: float, seed: int) -> n
         raise ContractViolationError(f"dimensions must be positive, got {n}x{m}")
     if lo < 0:
         raise ContractViolationError(f"lo must be nonnegative, got {lo}")
-    if not lo < hi:
-        raise ContractViolationError(f"need lo < hi, got [{lo}, {hi}]")
+    if not lo < hi < np.inf:
+        raise ContractViolationError(f"need lo < hi < inf, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=(n, m))
 
@@ -73,20 +73,26 @@ class BssScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.sample_rate_hz <= 0:
-            raise ContractViolationError("duration and sample rate must be positive")
+        if not (0 < self.duration_s < np.inf and 0 < self.sample_rate_hz < np.inf):
+            raise ContractViolationError(
+                f"duration and sample rate must be finite and positive, got "
+                f"{self.duration_s} s at {self.sample_rate_hz} Hz"
+            )
         if self.num_sensors < 1:
             raise ContractViolationError("num_sensors must be positive")
         if self.num_sources != 5:
             raise ContractViolationError(
                 f"the scenario defines exactly 5 sources, got {self.num_sources}"
             )
-        if self.noise_variance < 0:
-            raise ContractViolationError("noise_variance must be nonnegative")
-        count = self.duration_s * self.sample_rate_hz
-        if abs(count - round(count)) > 1e-9:
+        if not 0 <= self.noise_variance < np.inf:
             raise ContractViolationError(
-                f"duration * rate must be an integer sample count, got {count}"
+                f"noise_variance must be finite and nonnegative, got "
+                f"{self.noise_variance}"
+            )
+        count = self.duration_s * self.sample_rate_hz
+        if not (count < np.inf and round(count) >= 1 and abs(count - round(count)) <= 1e-9):
+            raise ContractViolationError(
+                f"duration * rate must be a positive integer sample count, got {count}"
             )
 
     @property

@@ -479,10 +479,10 @@ def solve(
         and nonnegative; they are copied and become iterate 0. When omitted the
         seeded uniform start of :func:`initial_factors` is used.
     callback : callable, optional
-        Invoked as ``callback(iteration, state)`` after each full iteration.
-        ``state.W`` and ``state.H`` are read-only during the call. The
-        callback may replace them (``state.W = new``); the next iteration
-        then forms the products the previous map handed on afresh.
+        Invoked as ``callback(iteration, pair)`` after each full iteration.
+        It observes only: ``pair`` is a separate :class:`FactorPair` of the
+        solve's factors, read-only during the call, and assigning to its
+        fields leaves the solve unchanged.
 
     Returns
     -------
@@ -601,11 +601,9 @@ def solve(
             writeable = W.flags.writeable, H.flags.writeable
             W.flags.writeable = H.flags.writeable = False
             try:
-                callback(k, state)
+                callback(k, FactorPair(W, H))
             finally:
                 W.flags.writeable, H.flags.writeable = writeable
-            if state.W is not W or state.H is not H:
-                info.pop("products", None)
         if target is not None:
             done, reason = f_k <= target, "target"
         else:

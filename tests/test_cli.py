@@ -325,10 +325,35 @@ class TestReproducibility:
         assert len(runs[0][2]) > 2
 
 
+def assert_invalid_request(code, capsys, fragment):
+    """Exit 1 with one ``nmfkit: invalid request`` line naming the fault."""
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("nmfkit: invalid request: ")
+    assert fragment in err
+    assert "Traceback" not in err
+
+
 class TestBench:
     def test_scale_zero_exits_one(self, capsys):
         code = main(["bench", "--preset", "sim1", "--scale", "0"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("preset", ["sim1", "sim2-dense", "sim3"])
+    @pytest.mark.parametrize("scale", ["0", "nan", "1.5"])
+    def test_bad_scale_is_invalid_request_and_writes_nothing(
+        self, tmp_path, capsys, preset, scale
+    ):
+        out = tmp_path / "out"
+        code = main(["bench", "--preset", preset, "--scale", scale, "--out", str(out)])
+        assert_invalid_request(code, capsys, "scale must be in (0, 1]")
+        assert not out.exists()
+
+    def test_bad_trials_is_invalid_request_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["bench", "--preset", "sim3", "--trials", "0", "--out", str(out)])
+        assert_invalid_request(code, capsys, "trials must be >= 1, got 0")
+        assert not out.exists()
 
     def test_bad_trials_exits_one(self):
         code = main(["bench", "--preset", "sim3", "--trials", "0"])
@@ -402,6 +427,22 @@ class TestBss:
     def test_negative_noise_rejected(self):
         code = main(["bss", "--noise-var", "-1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value, fragment",
+        [
+            ("--sample-rate", "nan", "finite and positive"),
+            ("--sample-rate", "inf", "finite and positive"),
+            ("--sample-rate", "1e-300", "positive integer sample count"),
+            ("--noise-var", "nan", "finite and nonnegative"),
+            ("--noise-var", "inf", "finite and nonnegative"),
+        ],
+    )
+    def test_bad_scenario_is_invalid_request(self, tmp_path, capsys, flag, value, fragment):
+        out = tmp_path / "out"
+        code = main(["bss", flag, value, "--out-dir", str(out)])
+        assert_invalid_request(code, capsys, fragment)
+        assert not out.exists()
 
 
 SUITE_NAMES = ("monotonicity", "majorization", "fixed-point", "psd-bound", "kkt-decrease")
@@ -550,6 +591,14 @@ class TestGenerate:
         code = main(["generate", "dense", "--n", "2", "--m", "2", "--lo", "5", "--hi", "5"])
         assert code == EXIT_USAGE
 
+    def test_infinite_upper_bound_is_invalid_request(self, tmp_path, capsys):
+        out = tmp_path / "V.csv"
+        code = main(
+            ["generate", "dense", "--n", "2", "--m", "2", "--hi", "inf", "--out", str(out)]
+        )
+        assert_invalid_request(code, capsys, "need lo < hi < inf")
+        assert not out.exists()
+
 
 class TestParser:
     def test_help_exits_zero(self):
@@ -557,3 +606,22 @@ class TestParser:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["factorize", "v.csv", "--rank", "1"],
+            ["bench", "--preset", "sim1"],
+            ["verify"],
+            ["generate", "dense", "--n", "2", "--m", "2"],
+            ["bss"],
+        ],
+        ids=lambda c: c[0],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, capsys, command, seed):
+        assert main([*command, "--seed", seed]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nmfkit ")
+        assert f"argument --seed: seed must be a nonnegative integer, got '{seed}'" in err
+        assert "Traceback" not in err

@@ -83,6 +83,24 @@ class TestSurrogates:
             assert abs(inom_h_surrogate(V, W, H, H) - f) <= 1e-9 * max(1.0, f)
             assert abs(inom_w_surrogate(V, W, H, W) - f) <= 1e-9 * max(1.0, f)
 
+    @pytest.mark.parametrize("n, m, r", [(2, 2, 1), (3, 40, 2), (40, 3, 3), (17, 29, 5)])
+    def test_inom_w_surrogate_is_the_mirrored_quadratic_bound(self, n, m, r):
+        # The W bound is the H bound of the transposed problem; it must agree
+        # with the W-side formula written out, up to summation order.
+        rng = np.random.default_rng(n * m * r)
+        V = rng.uniform(0.0, 1.0, (n, m))
+        W_ref = rng.uniform(0.0, 1.0, (n, r))
+        H = rng.uniform(0.0, 1.0, (r, m))
+        for W in (W_ref, rng.uniform(0.0, 2.0, (n, r))):
+            G = H @ H.T
+            nu = linalg.max_row_sum(2.0 * G)
+            f_ref = linalg.frobenius_residual(V, W_ref, H)
+            grad = 2.0 * (W_ref @ G) - 2.0 * (V @ H.T)
+            D = W - W_ref
+            explicit = f_ref + float(np.sum(grad * D)) + 0.5 * nu * float(np.sum(D * D))
+            got = inom_w_surrogate(V, W_ref, H, W)
+            assert abs(got - explicit) <= 8 * np.finfo(float).eps * max(1.0, explicit)
+
     def test_inom_surrogates_dominate(self):
         rng = np.random.default_rng(5)
         for i in range(5):
