@@ -73,6 +73,11 @@ class BenchScenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractViolationError(f"trials must be >= 1, got {self.trials}")
+        if not self.rank_values:
+            raise ContractViolationError(
+                f"scenario {self.name!r} has no rank below min(n, m) = "
+                f"{min(self.n, self.m)}"
+            )
         if any(r < 1 for r in self.rank_values):
             raise ContractViolationError(f"ranks {self.rank_values} must all be >= 1")
         if any(r >= min(self.n, self.m) for r in self.rank_values):

@@ -61,6 +61,12 @@ def generate_sparse(n: int, m: int, sparsity: float, seed: int) -> np.ndarray:
     return np.maximum(x, 0.0, out=x)
 
 
+# Most entries BssScenario allows in its num_sensors x num_samples observed
+# matrix (800 MB as float64), so that a huge sample rate is refused before
+# anything is allocated.
+MAX_OBSERVED_ENTRIES = 10**8
+
+
 @dataclass(frozen=True)
 class BssScenario:
     """Source-separation setup: five fixed waveforms mixed onto many sensors."""
@@ -93,6 +99,11 @@ class BssScenario:
         if not (count < np.inf and round(count) >= 1 and abs(count - round(count)) <= 1e-9):
             raise ContractViolationError(
                 f"duration * rate must be a positive integer sample count, got {count}"
+            )
+        if self.num_sensors * round(count) > MAX_OBSERVED_ENTRIES:
+            raise ContractViolationError(
+                f"{self.num_sensors} sensors x {count:g} samples exceed the "
+                f"{MAX_OBSERVED_ENTRIES} entries allowed in the observed matrix"
             )
 
     @property

@@ -105,6 +105,11 @@ class SolverConfig:
     target: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.algorithm, Algorithm):
+            choices = ", ".join(a.value for a in Algorithm)
+            raise ContractViolationError(
+                f"algorithm must be an Algorithm ({choices}), got {self.algorithm!r}"
+            )
         if self.rank < 1:
             raise ContractViolationError(f"rank must be >= 1, got {self.rank}")
         if not self.tol > 0:
@@ -444,6 +449,15 @@ def fast_hals_iterate(
     return pair, {"objective": f, "products": (None, WtW, S)}
 
 
+# The attribute of this module holding each base algorithm's map. It is read
+# per call, so that a replaced attribute (a tracer, a test fake) is the one
+# called.
+BASE_MAPS = {
+    Algorithm.INOM: "inom_iterate",
+    Algorithm.PARINOM: "parinom_iterate",
+    Algorithm.MU: "mu_iterate",
+    Algorithm.FAST_HALS: "fast_hals_iterate",
+}
 # The base map each SQUAREM-accelerated algorithm wraps.
 _ACCELERATED = {
     Algorithm.ACC_PARINOM: Algorithm.PARINOM,
@@ -533,20 +547,11 @@ def solve(
         linalg.require_nonnegative(init.H, "init H")
         state = init.copy()
 
-    base = _ACCELERATED.get(config.algorithm)
-    if base is not None:
+    alg = config.algorithm
+    step = globals()[BASE_MAPS[_ACCELERATED.get(alg, alg)]]
+    accelerated = alg in _ACCELERATED
+    if accelerated:
         from . import squarem
-    else:
-        # The maps are looked up here, per solve, so that a replaced module
-        # attribute (a tracer, a test fake) is the one called.
-        step = {
-            Algorithm.INOM: inom_iterate,
-            Algorithm.PARINOM: parinom_iterate,
-            Algorithm.MU: mu_iterate,
-            Algorithm.FAST_HALS: fast_hals_iterate,
-        }.get(config.algorithm)
-        if step is None:
-            raise ContractViolationError(f"unknown algorithm {config.algorithm!r}")
     trace = IterationTrace()
     f_prev = linalg.frobenius_residual(V, state.W, state.H)
     if not np.isfinite(f_prev):
@@ -562,7 +567,7 @@ def solve(
     # so nothing here keeps them past the step's first base application.
     info = {}
     for k in range(1, config.max_iters + 1):
-        if base is None:
+        if not accelerated:
             state, info = step(
                 V, state, v_sq=v_sq, products=info.pop("products", None)
             )
@@ -570,7 +575,7 @@ def solve(
             state, accel = squarem.squarem_step(
                 V,
                 state,
-                base,
+                step,
                 f0=f_prev,
                 v_sq=v_sq,
                 products=info.pop("products", None),

@@ -1,13 +1,12 @@
 """Squared-extrapolation acceleration for monotone fixed-point NMF maps.
 
-One accelerated step applies a base map, PARINOM or MU, twice, extrapolates
-each factor along its squared iterate difference, and backtracks the
-extrapolation weights toward -1 until the Frobenius objective does not rise.
-At alpha = -1 the candidate is exactly the two-step iterate, so backtracking
-always terminates because the base map itself never increases the objective.
-The base map is named by its :class:`Algorithm` and called through this
-module's own ``parinom_iterate`` / ``mu_iterate``, which have the one map
-signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``.
+One accelerated step applies a base map twice, extrapolates each factor
+along its squared iterate difference, and backtracks the extrapolation
+weights toward -1 until the Frobenius objective does not rise. At alpha = -1
+the candidate is exactly the two-step iterate, so backtracking always
+terminates because the base map itself never increases the objective. The
+base map is any monotone map of :mod:`solvers`' one signature ``(V, pair, *,
+v_sq=None, products=None) -> (pair, info)``, passed in by the caller.
 
 The objective serves only as the descent test on each candidate (Varadhan &
 Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
@@ -27,20 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, NumericalFailureError
-from .solvers import (
-    POSITIVITY_FLOOR,
-    Algorithm,
-    FactorPair,
-    mu_iterate,
-    normalize_pair,
-    parinom_iterate,
-)
+from .errors import NumericalFailureError
+from .solvers import POSITIVITY_FLOOR, FactorPair, normalize_pair
+
+# Not called here: perfbench's tracer wraps these two names in this module.
+from .solvers import mu_iterate, parinom_iterate  # noqa: F401
 
 __all__ = ["AccelState", "squarem_step"]
 
@@ -92,18 +87,19 @@ def _backtrack(alpha: float) -> float:
 def squarem_step(
     V,
     state: FactorPair,
-    base: Algorithm,
+    base_map: Callable,
     *,
     f0: float,
     v_sq: float,
     force_alpha: float | None = None,
     products=None,
 ) -> tuple[FactorPair, AccelState]:
-    """One accelerated outer step of the ``base`` map from ``state``.
+    """One accelerated outer step of ``base_map`` from ``state``.
 
-    ``base`` is ``Algorithm.PARINOM`` or ``Algorithm.MU``; any other value
-    raises :class:`ContractViolationError`. Per factor X in {W, H}: with
-    x1 = step(x0) and x2 = step(x1), r = x1 - x0, v = x2 - x1 - r and
+    ``base_map`` is a map such as ``solvers.parinom_iterate``, with the
+    signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``;
+    it must not raise the objective. Per factor X in {W, H}: with
+    x1 = base_map(x0) and x2 = base_map(x1), r = x1 - x0, v = x2 - x1 - r and
     alpha = -||r||_F / ||v||_F, the candidate is
     ``max(POSITIVITY_FLOOR, x0 - 2 alpha r + alpha^2 v)``, with the W
     candidate column-normalized. An alpha of exactly -1 pins its factor to
@@ -118,21 +114,16 @@ def squarem_step(
     ``force_alpha`` sets the alpha of every factor that is not degenerate
     (useful for checking the alpha = -1 identity, which reproduces the
     two-step iterate exactly). ``f0`` is the objective of ``state`` and
-    ``v_sq`` is ``||V||_F**2``; ``solve`` already holds both. ``products`` are those of ``state``, as the previous step's
-    :class:`AccelState` returned them, or None to form them here.
+    ``v_sq`` is ``||V||_F**2``; ``solve`` already holds both. ``products``
+    are those of ``state``, as the previous step's :class:`AccelState`
+    returned them, or None to form them here.
     """
-    if base is Algorithm.PARINOM:
-        step = parinom_iterate
-    elif base is Algorithm.MU:
-        step = mu_iterate
-    else:
-        raise ContractViolationError(f"SQUAREM accelerates PARINOM or MU, not {base!r}")
     x0 = state
-    x1, _ = step(V, x0, products=products)
+    x1, _ = base_map(V, x0, products=products)
     # Only the first application reads x0's products; drop them before x2's
     # are formed.
     products = None
-    x2, info = step(V, x1, v_sq=v_sq)
+    x2, info = base_map(V, x1, v_sq=v_sq)
     f2, p2 = info["objective"], info.get("products")
 
     rw = x1.W - x0.W

@@ -41,15 +41,6 @@ PSD_TOL = 1e-9
 # A solve must shrink the stationarity residual by at least this factor.
 KKT_DROP = 1e-2
 
-# The four base maps by algorithm name, as attribute names of ``solvers``.
-BASE_MAPS = {
-    "inom": "inom_iterate",
-    "parinom": "parinom_iterate",
-    "mu": "mu_iterate",
-    "fast-hals": "fast_hals_iterate",
-}
-
-
 @dataclass
 class SuiteResult:
     name: str
@@ -90,11 +81,11 @@ def monotone_rise(V, config: SolverConfig) -> float:
     return float(np.max(np.concatenate(rises)))
 
 
-def fixed_point_drift(V, pair: FactorPair, name: str) -> float:
-    """Largest entry change of ``pair`` under one step of the base map
-    ``name`` (a key of ``BASE_MAPS``); ``pair`` is an exact factorization
-    of ``V``, so the change should be zero up to rounding."""
-    out, _ = getattr(solvers, BASE_MAPS[name])(V, pair.copy())
+def fixed_point_drift(V, pair: FactorPair, alg: Algorithm) -> float:
+    """Largest entry change of ``pair`` under one step of the base map of
+    ``alg`` (a key of ``solvers.BASE_MAPS``); ``pair`` is an exact
+    factorization of ``V``, so the change should be zero up to rounding."""
+    out, _ = getattr(solvers, solvers.BASE_MAPS[alg])(V, pair.copy())
     return float(np.max([np.abs(out.W - pair.W).max(), np.abs(out.H - pair.H).max()]))
 
 
@@ -169,11 +160,11 @@ def _suite_fixed_point(seed: int, quick: bool) -> SuiteResult:
         W = linalg.normalize_columns(rng.uniform(0.5, 1.5, size=(n, r)))
         H = rng.uniform(0.5, 1.5, size=(r, m))
         V, pair = W @ H, FactorPair(W, H)
-        for name in BASE_MAPS:
-            drift = fixed_point_drift(V, pair, name)
+        for alg in solvers.BASE_MAPS:
+            drift = fixed_point_drift(V, pair, alg)
             result.record(
                 drift <= FIXED_POINT_TOL,
-                f"map={name} instance={i} planted factorization drifted by {drift!r}",
+                f"map={alg.value} instance={i} planted factorization drifted by {drift!r}",
             )
     return result
 

@@ -6,8 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from nmfkit import linalg
+from nmfkit import linalg, solvers
 from nmfkit.solvers import FactorPair, initial_factors
+
+
+def base_map(alg):
+    """The map ``solvers.solve`` calls for the base algorithm ``alg``."""
+    return getattr(solvers, solvers.BASE_MAPS[alg])
 
 
 def frobenius_oracle(V, W, H):

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from nmfkit import bench, cli, datagen, diagnostics, linalg, verify
+from nmfkit import bench, cli, datagen, diagnostics, linalg, solvers, verify
 from nmfkit.bench import BenchScenario, MatrixKind, run_scenario, sim1_run
 from nmfkit.solvers import Algorithm, SolverConfig, inom_update_h, parinom_iterate
 from nmfkit.squarem import squarem_step
@@ -105,7 +105,7 @@ def test_criterion_05_fixed_point_suite():
     drifts = []
     for i in range(10):
         V, pair = planted_instance(7000 + i, n=8, m=10, r=3)
-        drifts += [verify.fixed_point_drift(V, pair, name) for name in verify.BASE_MAPS]
+        drifts += [verify.fixed_point_drift(V, pair, alg) for alg in solvers.BASE_MAPS]
     worst = float(np.max(drifts))
     _report(
         5,
@@ -125,7 +125,7 @@ def test_criterion_07_squarem_identity_and_dominance():
         x2, _ = parinom_iterate(V, x1)
         f0 = linalg.frobenius_residual(V, start.W, start.H)
         forced, _ = squarem_step(
-            V, start, Algorithm.PARINOM, f0=f0, v_sq=v_sq, force_alpha=-1.0
+            V, start, parinom_iterate, f0=f0, v_sq=v_sq, force_alpha=-1.0
         )
         exact = exact and np.array_equal(forced.W, x2.W) and np.array_equal(
             forced.H, x2.H
@@ -138,7 +138,7 @@ def test_criterion_07_squarem_identity_and_dominance():
         s = start.copy()
         f_prev = plain[0]
         for k in range(1, 51):
-            s, _ = squarem_step(V, s, Algorithm.PARINOM, f0=f_prev, v_sq=v_sq)
+            s, _ = squarem_step(V, s, parinom_iterate, f0=f_prev, v_sq=v_sq)
             f = linalg.frobenius_residual(V, s.W, s.H)
             monotone = monotone and f <= f_prev + 1e-9 * max(1.0, f_prev)
             worst_gap = max(worst_gap, f - plain[2 * k] - 1e-9)

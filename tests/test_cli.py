@@ -355,6 +355,16 @@ class TestBench:
         assert_invalid_request(code, capsys, "trials must be >= 1, got 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset", ["sim2-dense", "sim2-sparse"])
+    def test_empty_rank_grid_is_invalid_request_and_writes_nothing(
+        self, tmp_path, capsys, preset
+    ):
+        # At this scale the matrix is 1 x 5, so no rank stays below min(n, m).
+        out = tmp_path / "out"
+        code = main(["bench", "--preset", preset, "--scale", "0.0001", "--out", str(out)])
+        assert_invalid_request(code, capsys, "no rank below min(n, m) = 1")
+        assert not out.exists()
+
     def test_bad_trials_exits_one(self):
         code = main(["bench", "--preset", "sim3", "--trials", "0"])
         assert code == EXIT_USAGE
@@ -434,6 +444,8 @@ class TestBss:
             ("--sample-rate", "nan", "finite and positive"),
             ("--sample-rate", "inf", "finite and positive"),
             ("--sample-rate", "1e-300", "positive integer sample count"),
+            ("--sample-rate", "1e9", "exceed the 100000000 entries allowed"),
+            ("--sample-rate", "1e300", "exceed the 100000000 entries allowed"),
             ("--noise-var", "nan", "finite and nonnegative"),
             ("--noise-var", "inf", "finite and nonnegative"),
         ],

@@ -26,7 +26,13 @@ from nmfkit.solvers import (
     solve,
 )
 
-from _util import MatmulCounter, planted_instance, random_instance, with_target_at
+from _util import (
+    MatmulCounter,
+    base_map,
+    planted_instance,
+    random_instance,
+    with_target_at,
+)
 
 ALL = list(Algorithm)
 
@@ -309,6 +315,11 @@ class TestSolverConfig:
         with pytest.raises(ContractViolationError):
             SolverConfig(algorithm=Algorithm.INOM, rank=1, target=math.nan)
 
+    @pytest.mark.parametrize("bad", ["inom", None, 1])
+    def test_algorithm_outside_the_enum_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="inom, parinom, mu"):
+            SolverConfig(bad, rank=2)
+
     def test_infinite_tol_is_allowed(self):
         SolverConfig(algorithm=Algorithm.INOM, rank=1, tol=math.inf)
 
@@ -509,14 +520,6 @@ class TestTraceObjective:
         assert self._check(V, config)
 
 
-BASE_MAPS = {
-    Algorithm.INOM: inom_iterate,
-    Algorithm.PARINOM: parinom_iterate,
-    Algorithm.MU: mu_iterate,
-    Algorithm.FAST_HALS: fast_hals_iterate,
-}
-
-
 def fresh_products(V, pair):
     return pair.W.T @ V, pair.W.T @ pair.W, pair.H @ pair.H.T
 
@@ -528,16 +531,16 @@ def uncarried_solve(V, config, steps):
     v_sq = float(np.vdot(V, V))
     f = [objective(V, state)]
     backtracks = []
-    base = {Algorithm.ACC_PARINOM: Algorithm.PARINOM, Algorithm.ACC_MU: Algorithm.MU}
+    base = solvers._ACCELERATED.get(config.algorithm)
     for _ in range(steps):
-        if config.algorithm in base:
+        if base is not None:
             state, accel = squarem.squarem_step(
-                V, state, base[config.algorithm], f0=f[-1], v_sq=v_sq
+                V, state, base_map(base), f0=f[-1], v_sq=v_sq
             )
             f.append(accel.objective)
             backtracks.append(accel.backtracks)
         else:
-            state, info = BASE_MAPS[config.algorithm](V, state, v_sq=v_sq)
+            state, info = base_map(config.algorithm)(V, state, v_sq=v_sq)
             f.append(info["objective"])
     return state, np.array(f), backtracks
 
@@ -546,17 +549,17 @@ class TestProductCarry:
     """Maps hand their output pair's products to the next call; the carry
     must change no bit of any iterate."""
 
-    @pytest.mark.parametrize("alg", list(BASE_MAPS), ids=lambda a: a.value)
+    @pytest.mark.parametrize("alg", list(solvers.BASE_MAPS), ids=lambda a: a.value)
     def test_products_belong_to_returned_pair(self, alg):
         V, pair = random_instance(600, n=20, m=30, r=4)
-        out, info = BASE_MAPS[alg](V, pair, v_sq=float(np.vdot(V, V)))
+        out, info = base_map(alg)(V, pair, v_sq=float(np.vdot(V, V)))
         if alg in (Algorithm.INOM, Algorithm.MU):
             assert "products" not in info
             return
         for got, want in zip(info["products"], fresh_products(V, out)):
             assert got is None or np.array_equal(got, want)
         assert (info["products"][0] is None) == (alg is Algorithm.FAST_HALS)
-        _, bare = BASE_MAPS[alg](V, pair)
+        _, bare = base_map(alg)(V, pair)
         assert "products" not in bare
 
     @pytest.mark.parametrize(
@@ -565,7 +568,7 @@ class TestProductCarry:
     def test_carried_loop_equals_uncarried(self, alg):
         V, start = random_instance(601, n=20, m=30, r=4)
         v_sq = float(np.vdot(V, V))
-        step = BASE_MAPS[alg]
+        step = base_map(alg)
         carried, plain, products = start.copy(), start.copy(), None
         for _ in range(50):
             carried, info = step(V, carried, v_sq=v_sq, products=products)

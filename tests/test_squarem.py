@@ -3,19 +3,25 @@ import sys
 import numpy as np
 import pytest
 
-from nmfkit import linalg, squarem
-from nmfkit.errors import ContractViolationError
+from nmfkit import linalg, solvers, squarem
 from nmfkit.solvers import (
     Algorithm,
     FactorPair,
     SolverConfig,
+    mu_iterate,
     normalize_pair,
     parinom_iterate,
     solve,
 )
 from nmfkit.squarem import AccelState, squarem_step
 
-from _util import MatmulCounter, planted_instance, random_instance, traced_peak
+from _util import (
+    MatmulCounter,
+    base_map,
+    planted_instance,
+    random_instance,
+    traced_peak,
+)
 
 
 def objective(V, pair):
@@ -31,7 +37,7 @@ def accelerate(V, pair, base, **kw):
 class TestSquaremStep:
     def test_fixed_point_returns_two_step_iterate(self):
         V, pair = planted_instance(0, n=6, m=8, r=2)
-        out, accel = accelerate(V, pair, Algorithm.PARINOM)
+        out, accel = accelerate(V, pair, parinom_iterate)
         # r and v vanish, the degenerate fallback returns the two-step value,
         # which at a fixed point is the starting state.
         assert np.abs(out.W - pair.W).max() <= 1e-12
@@ -45,7 +51,7 @@ class TestSquaremStep:
         # coincide and the accelerated result is that same fixed point.
         V = np.array([[2.0]])
         state = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
-        out, _ = accelerate(V, state, Algorithm.MU)
+        out, _ = accelerate(V, state, mu_iterate)
         assert out.W == np.array([[1.0]])
         assert out.H == np.array([[2.0]])
         assert objective(V, out) == 0.0
@@ -55,7 +61,7 @@ class TestSquaremStep:
             V, pair = random_instance(100 + i)
             x1, _ = parinom_iterate(V, pair)
             x2, _ = parinom_iterate(V, x1)
-            out, accel = accelerate(V, pair, Algorithm.PARINOM, force_alpha=-1.0)
+            out, accel = accelerate(V, pair, parinom_iterate, force_alpha=-1.0)
             assert np.array_equal(out.W, x2.W)
             assert np.array_equal(out.H, x2.H)
             assert isinstance(accel, AccelState)
@@ -70,7 +76,7 @@ class TestSquaremStep:
             x1, _ = parinom_iterate(V, pair, products=products)
             x2, _ = parinom_iterate(V, x1)
             out, accel = accelerate(
-                V, pair, Algorithm.PARINOM, force_alpha=-1.0, products=products
+                V, pair, parinom_iterate, force_alpha=-1.0, products=products
             )
             assert np.all(np.isfinite(out.H))
             assert np.array_equal(out.W, x2.W)
@@ -90,7 +96,7 @@ class TestSquaremStep:
             s = start.copy()
             f_prev = objective(V, s)
             for k in range(1, 51):
-                s, _ = accelerate(V, s, Algorithm.PARINOM)
+                s, _ = accelerate(V, s, parinom_iterate)
                 f = objective(V, s)
                 assert f <= f_prev + 1e-9 * max(1.0, f_prev)
                 assert f <= plain[2 * k] + 1e-9
@@ -100,7 +106,7 @@ class TestSquaremStep:
         total = 0
         for i in range(10):
             V, pair = random_instance(300 + i)
-            _, accel = accelerate(V, pair, Algorithm.PARINOM)
+            _, accel = accelerate(V, pair, parinom_iterate)
             assert accel.backtracks >= 0
             assert accel.alpha_w <= 0.0
             assert accel.alpha_h <= 0.0
@@ -108,15 +114,33 @@ class TestSquaremStep:
         # the extrapolation should be accepted outright at least sometimes
         assert total < 10 * 1000
 
-    @pytest.mark.parametrize(
-        "base", [Algorithm.INOM, Algorithm.FAST_HALS, Algorithm.ACC_MU, "parinom"]
-    )
-    def test_other_base_rejected(self, base):
-        V, pair = random_instance(310)
-        with pytest.raises(ContractViolationError):
-            accelerate(V, pair, base)
+    @pytest.mark.parametrize("alg", list(solvers.BASE_MAPS), ids=lambda a: a.value)
+    def test_every_base_map_keeps_identity_descent_and_dominance(self, alg):
+        # Any monotone map is a valid base: alpha = -1 reproduces its
+        # two-step iterate bit for bit, and 10 accelerated steps never rise
+        # and never end worse than 20 plain steps.
+        step = base_map(alg)
+        for i in range(10):
+            V, start = random_instance(320 + i)
+            x1, _ = step(V, start)
+            x2, _ = step(V, x1)
+            forced, _ = accelerate(V, start, step, force_alpha=-1.0)
+            assert np.array_equal(forced.W, x2.W)
+            assert np.array_equal(forced.H, x2.H)
+            plain = [objective(V, start)]
+            s = start.copy()
+            for _ in range(20):
+                s, _ = step(V, s)
+                plain.append(objective(V, s))
+            s, f_prev = start.copy(), plain[0]
+            for k in range(1, 11):
+                s, _ = accelerate(V, s, step)
+                f = objective(V, s)
+                assert f <= f_prev + 1e-9 * max(1.0, f_prev)
+                assert f <= plain[2 * k] + 1e-9
+                f_prev = f
 
-    def test_degenerate_factor_is_pinned_while_the_other_extrapolates(self, monkeypatch):
+    def test_degenerate_factor_is_pinned_while_the_other_extrapolates(self):
         # A base map that leaves W unchanged and moves H halfway to a planted
         # H*: W's squared difference is zero, so alpha_w starts at -1, while
         # H's alpha of -2 lands on H* in one extrapolation.
@@ -128,11 +152,10 @@ class TestSquaremStep:
             info = {} if v_sq is None else {"objective": objective(V, out)}
             return out, info
 
-        monkeypatch.setattr(squarem, "parinom_iterate", fake)
         x0 = FactorPair(planted.W, 2.0 * H_star + 0.3)
         x1, _ = fake(V, x0)
         x2, _ = fake(V, x1)
-        out, accel = accelerate(V, x0, Algorithm.PARINOM)
+        out, accel = accelerate(V, x0, fake)
         assert accel.alpha_w == -1.0
         assert accel.alpha_h != -1.0
         assert accel.backtracks == 0
@@ -157,20 +180,20 @@ class TestProductCarry:
     """A step returns its accepted pair's products for the next step's
     first base application."""
 
-    @pytest.mark.parametrize("base", [Algorithm.PARINOM, Algorithm.MU], ids=["parinom", "mu"])
+    @pytest.mark.parametrize("base", [parinom_iterate, mu_iterate], ids=["parinom", "mu"])
     def test_products_belong_to_accepted_pair(self, base):
         for i in range(5):
             V, pair = random_instance(500 + i)
             out, accel = accelerate(V, pair, base)
             if accel.products is None:
                 # MU hands on no products, so neither does its two-step iterate.
-                assert base is Algorithm.MU
+                assert base is mu_iterate
                 continue
             fresh = (out.W.T @ V, out.W.T @ out.W, out.H @ out.H.T)
             for got, want in zip(accel.products, fresh):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("base", [Algorithm.PARINOM, Algorithm.MU], ids=["parinom", "mu"])
+    @pytest.mark.parametrize("base", [parinom_iterate, mu_iterate], ids=["parinom", "mu"])
     def test_carried_steps_equal_uncarried(self, base):
         V, start = random_instance(521, n=20, m=30, r=4)  # backtracks in 4 steps
         v_sq = float(np.vdot(V, V))
@@ -195,13 +218,13 @@ class TestProductCarry:
         v_sq = float(np.vdot(V, V))
         f0 = objective(V.view(np.ndarray), pair)
         V.calls = 0
-        pair, accel = squarem_step(V, pair, Algorithm.PARINOM, f0=f0, v_sq=v_sq)
+        pair, accel = squarem_step(V, pair, parinom_iterate, f0=f0, v_sq=v_sq)
         assert V.calls == 6 + accel.backtracks
         total = 0
         for _ in range(20):
             V.calls = 0
             pair, accel = squarem_step(
-                V, pair, Algorithm.PARINOM, f0=accel.objective, v_sq=v_sq,
+                V, pair, parinom_iterate, f0=accel.objective, v_sq=v_sq,
                 products=accel.products,
             )
             assert V.calls == 5 + accel.backtracks
