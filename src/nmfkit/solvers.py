@@ -257,36 +257,19 @@ def initial_factors(V: np.ndarray, rank: int, seed: int) -> FactorPair:
 
 
 def inom_update_h(V, W, H) -> tuple[np.ndarray, float]:
-    """One INOM block update of H with W fixed.
-
-    The step size ``mu`` is the maximum row sum of ``2 W^T W``, which
-    dominates the block Hessian, so the projected step
-    ``max(0, H + (2 W^T V - 2 W^T W H) / mu)`` minimizes the quadratic upper
-    bound of the objective anchored at H and can only decrease the misfit.
-
-    Returns the updated H and ``mu``.
-    """
+    """One INOM block update of H with W fixed, :func:`_projected_step` with
+    ``G = W^T W``; returns the updated H and its step size ``mu``."""
     G = W.T @ W
-    mu = linalg.max_row_sum(2.0 * G)
-    if mu == 0.0:
-        raise DegenerateFactorError("W is identically zero; no H step size exists")
-    Hn = np.maximum(0.0, H + (2.0 * (W.T @ V) - 2.0 * (G @ H)) / mu)
-    return Hn, mu
+    return _projected_step(W.T @ V, G @ H, H, G, "W", "H")
 
 
 def inom_update_w(V, W, H):
-    """One INOM block update of W with H fixed; returns (W', nu, V H^T, H H^T).
-
-    ``nu`` is the maximum row sum of ``2 H H^T``. The step's two products
-    are returned so that the caller can form the objective without a fresh
-    O(nmr) product.
-    """
+    """One INOM block update of W with H fixed, :func:`_projected_step` with
+    ``G = H H^T``; returns (W', nu, V H^T, H H^T). The two products let the
+    caller form the objective without a fresh O(nmr) product."""
     G = H @ H.T
-    nu = linalg.max_row_sum(2.0 * G)
-    if nu == 0.0:
-        raise DegenerateFactorError("H is identically zero; no W step size exists")
     VHt = V @ H.T
-    Wn = np.maximum(0.0, W + (2.0 * VHt - 2.0 * (W @ G)) / nu)
+    Wn, nu = _projected_step(VHt, W @ G, W, G, "H", "W")
     return Wn, nu, VHt, G
 
 
@@ -310,6 +293,23 @@ def inom_iterate(
             V, pair.W, pair.H, v_sq, cross, Wn.T @ Wn, G
         )
     return pair, info
+
+
+def _projected_step(cross, GX, X, G, fixed, block):
+    """``max(0, X + (2 cross - 2 GX) / mu)`` and ``mu``, the largest row sum of
+    ``2 G``, which dominates the block Hessian, so the step minimizes the
+    quadratic upper bound anchored at X. For H, ``cross = W^T V``, ``G = W^T
+    W`` and ``GX = G H``; ``GX`` is the caller's fresh product, overwritten."""
+    mu = linalg.max_row_sum(2.0 * G)
+    if mu == 0.0:
+        raise DegenerateFactorError(
+            f"{fixed} is identically zero; no {block} step size exists"
+        )
+    out = np.multiply(2.0, cross)
+    out -= np.multiply(2.0, GX, out=GX)
+    out /= mu
+    np.add(X, out, out=out)
+    return np.maximum(0.0, out, out=out), mu
 
 
 def _ratio_step(numerator, denominator, X, what, *, quarter=False):
@@ -412,35 +412,34 @@ def mu_iterate(
     return pair, {"objective": f}
 
 
+def _hals_sweep(X, P, Q, *, unit):
+    """Fast-HALS's exact solve of each row of X in turn, in place:
+    ``max(POSITIVITY_FLOOR, X[j] + (P[:, j] - X^T Q[:, j]) / Q[j, j])``, over
+    the unit sphere (divided by its norm) when ``unit``. For H, ``P = V^T W``
+    and ``Q = W^T W``; W's sweep runs on the view ``W.T``."""
+    for j in range(X.shape[0]):
+        if Q[j, j] == 0.0:
+            raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
+        x = np.maximum(POSITIVITY_FLOOR, X[j] + (P[:, j] - X.T @ Q[:, j]) / Q[j, j])
+        X[j] = x / math.sqrt(float(x @ x)) if unit else x
+
+
 def fast_hals_iterate(
     V, state: FactorPair, *, v_sq: Optional[float] = None, products=None
 ) -> tuple[FactorPair, dict]:
-    """One Fast-HALS sweep: every row of H, then every column of W.
-
-    Each inner step is the exact nonnegative minimizer of the objective over
-    that single row/column (for W, over the unit sphere, hence the in-loop
-    normalization), using Gram-matrix precomputations instead of explicit
-    residuals. With ``v_sq`` the objective reuses the W sweep's ``V H^T``
+    """One Fast-HALS sweep: :func:`_hals_sweep` over the rows of H, then over
+    the columns of W, each one's exact nonnegative minimizer (for W, on the
+    unit sphere). With ``v_sq`` the objective reuses the W sweep's ``V H^T``
     and ``H H^T`` and forms the final ``W^T W``; ``info["products"]`` is
-    ``(None, W^T W, H H^T)``, and the next sweep, given it, takes that
-    ``W^T W`` as its ``Q``.
-    """
+    ``(None, W^T W, H H^T)``, and the next sweep takes that ``W^T W`` as its
+    ``Q``."""
     W = state.W.copy()
     H = state.H.copy()
-    r = W.shape[1]
-    P = V.T @ W
     Q = W.T @ W if products is None else products[1]
-    for j in range(r):
-        if Q[j, j] == 0.0:
-            raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
-        H[j] = np.maximum(POSITIVITY_FLOOR, H[j] + (P[:, j] - H.T @ Q[:, j]) / Q[j, j])
+    _hals_sweep(H, V.T @ W, Q, unit=False)
     R = V @ H.T
     S = H @ H.T
-    for j in range(r):
-        if S[j, j] == 0.0:
-            raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
-        w = np.maximum(POSITIVITY_FLOOR, W[:, j] + (R[:, j] - W @ S[:, j]) / S[j, j])
-        W[:, j] = w / math.sqrt(float(w @ w))
+    _hals_sweep(W.T, R, S, unit=True)
     pair = FactorPair(W, H)
     if v_sq is None:
         return pair, {}
