@@ -71,15 +71,17 @@ class BenchScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ContractViolationError(f"trials must be >= 1, got {self.trials}")
+        linalg.require_count(self.n, "n", 1)
+        linalg.require_count(self.m, "m", 1)
+        linalg.require_count(self.trials, "trials", 1)
+        linalg.require_count(self.seed, "seed", 0)
         if not self.rank_values:
             raise ContractViolationError(
                 f"scenario {self.name!r} has no rank below min(n, m) = "
                 f"{min(self.n, self.m)}"
             )
-        if any(r < 1 for r in self.rank_values):
-            raise ContractViolationError(f"ranks {self.rank_values} must all be >= 1")
+        for r in self.rank_values:
+            linalg.require_count(r, "rank", 1)
         if any(r >= min(self.n, self.m) for r in self.rank_values):
             raise ContractViolationError(
                 f"ranks {self.rank_values} must stay below min(n, m) = "

@@ -28,8 +28,9 @@ def generate_dense_uniform(n: int, m: int, lo: float, hi: float, seed: int) -> n
 
     Columns are not normalized; the caller decides whether to do that.
     """
-    if n < 1 or m < 1:
-        raise ContractViolationError(f"dimensions must be positive, got {n}x{m}")
+    linalg.require_count(n, "n", 1)
+    linalg.require_count(m, "m", 1)
+    linalg.require_count(seed, "seed", 0)
     if lo < 0:
         raise ContractViolationError(f"lo must be nonnegative, got {lo}")
     if not lo < hi < np.inf:
@@ -50,8 +51,9 @@ def generate_sparse(n: int, m: int, sparsity: float, seed: int) -> np.ndarray:
     The shift and the clip work in place on the sample, so the peak memory
     is the sample plus ``np.quantile``'s copy of it: twice the output.
     """
-    if n < 1 or m < 1:
-        raise ContractViolationError(f"dimensions must be positive, got {n}x{m}")
+    linalg.require_count(n, "n", 1)
+    linalg.require_count(m, "m", 1)
+    linalg.require_count(seed, "seed", 0)
     if not 0.0 <= sparsity < 1.0:
         raise ContractViolationError(f"sparsity must be in [0, 1), got {sparsity}")
     rng = np.random.default_rng(seed)
@@ -84,8 +86,9 @@ class BssScenario:
                 f"duration and sample rate must be finite and positive, got "
                 f"{self.duration_s} s at {self.sample_rate_hz} Hz"
             )
-        if self.num_sensors < 1:
-            raise ContractViolationError("num_sensors must be positive")
+        linalg.require_count(self.num_sensors, "num_sensors", 1)
+        linalg.require_count(self.seed, "seed", 0)
+        linalg.require_count(self.num_sources, "num_sources", 1)
         if self.num_sources != 5:
             raise ContractViolationError(
                 f"the scenario defines exactly 5 sources, got {self.num_sources}"

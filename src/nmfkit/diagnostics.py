@@ -187,6 +187,8 @@ def audit_majorization(
     it (f - g at most ``DOMINATION_TOL``, and a NaN gap fails). Violations
     are report content, never exceptions.
     """
+    linalg.require_count(samples, "samples", 0)
+    linalg.require_count(seed, "seed", 0)
     V = linalg.as_matrix(V, "V")
     W, H = state.W, state.H
     rng = np.random.default_rng(seed)

@@ -22,6 +22,7 @@ from .errors import (
 __all__ = [
     "as_matrix",
     "require_nonnegative",
+    "require_count",
     "frobenius_residual",
     "gram_objective",
     "column_norms",
@@ -73,6 +74,16 @@ def require_nonnegative(M: np.ndarray, name: str = "matrix") -> None:
             f"{name} must be entrywise nonnegative; entry ({i}, {j}) is "
             f"{float(M[i, j])!r}"
         )
+
+
+def require_count(value, name: str, least: int) -> None:
+    """Raise :class:`ContractViolationError` unless ``value``, the field
+    ``name``, is an integer of at least ``least``. A Python or numpy integer
+    qualifies; a bool, a float or anything else does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ContractViolationError(f"{name} must be >= {least}, got {value}")
 
 
 # The row blocks of frobenius_residual hold at most this many entries (1 MiB

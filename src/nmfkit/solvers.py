@@ -7,8 +7,13 @@ W from the new H. PARINOM builds both factor updates from the incoming pair
 (the paper's "parallel" update), so they are independent; they are
 evaluated one after the other. Its maps are ``W o (V H^T / (W H H^T))^{1/4}``
 and ``H o (W^T V / (W^T W H))^{1/4}``, with the quarter power taken as two
-square roots. MU takes the same ratios to the first power. Both share one
-floored ratio step, written into the step's own freshly formed denominator.
+square roots. MU takes the same ratios to the first power.
+
+Each block rule is written once and serves both factors: ``_ratio_step``,
+the floored ratio step of MU and PARINOM, written into the step's own
+freshly formed denominator; ``_projected_step``, INOM's step, whose W update
+is the H update of the transposed problem; and ``_hals_sweep``, Fast-HALS's
+exact row solves, run on H and on the view ``W.T``.
 
 Conventions kept by every full iteration:
   * both factors stay entrywise nonnegative;
@@ -110,18 +115,15 @@ class SolverConfig:
             raise ContractViolationError(
                 f"algorithm must be an Algorithm ({choices}), got {self.algorithm!r}"
             )
-        if self.rank < 1:
-            raise ContractViolationError(f"rank must be >= 1, got {self.rank}")
+        linalg.require_count(self.rank, "rank", 1)
         if not self.tol > 0:
             raise ContractViolationError(f"tol must be > 0, got {self.tol}")
         if self.target is not None and not self.target >= 0.0:
             raise ContractViolationError(
                 f"target must be a nonnegative objective level, got {self.target}"
             )
-        if self.max_iters < 1:
-            raise ContractViolationError(
-                f"max_iters must be >= 1, got {self.max_iters}"
-            )
+        linalg.require_count(self.max_iters, "max_iters", 1)
+        linalg.require_count(self.seed, "seed", 0)
 
 
 # Largest distance from 1 that FactorPair.validate allows a W column norm.
@@ -249,6 +251,8 @@ def initial_factors(V: np.ndarray, rank: int, seed: int) -> FactorPair:
     For a fixed seed this is deterministic, so several algorithms given the
     same rank and seed start from the same factors and the same objective.
     """
+    linalg.require_count(rank, "rank", 1)
+    linalg.require_count(seed, "seed", 0)
     n, m = V.shape
     rng = np.random.default_rng(seed)
     W = rng.random((n, rank))

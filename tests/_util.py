@@ -41,6 +41,26 @@ def random_instance(seed, n=10, m=12, r=3, normalized=True):
     return V, FactorPair(W, H)
 
 
+def hals_sweep_oracle(V, W, H):
+    """Reference Fast-HALS sweep written as two loops, one per factor: the
+    rows of H with ``W^T W``, then the columns of W with ``H H^T``, each
+    column renormalized as soon as it is solved. Returns fresh (W, H)."""
+    W, H = W.copy(), H.copy()
+    r = W.shape[1]
+    P, Q = V.T @ W, W.T @ W
+    for j in range(r):
+        H[j] = np.maximum(
+            solvers.POSITIVITY_FLOOR, H[j] + (P[:, j] - H.T @ Q[:, j]) / Q[j, j]
+        )
+    R, S = V @ H.T, H @ H.T
+    for j in range(r):
+        w = np.maximum(
+            solvers.POSITIVITY_FLOOR, W[:, j] + (R[:, j] - W @ S[:, j]) / S[j, j]
+        )
+        W[:, j] = w / np.sqrt(w @ w)
+    return W, H
+
+
 def with_target_at(V, config, fraction):
     """``config`` with ``target`` at ``fraction`` times the objective of its
     seeded start, which a solve without ``init`` takes as iterate 0."""

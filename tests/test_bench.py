@@ -75,7 +75,7 @@ class TestScenario:
     @pytest.mark.parametrize("ranks", [(0,), (2, 0), (-1, 3)])
     def test_rank_below_one_rejected_at_construction(self, ranks):
         # Such a cell would otherwise abort run_scenario part way through.
-        with pytest.raises(ContractViolationError, match="must all be >= 1"):
+        with pytest.raises(ContractViolationError, match="rank must be >= 1"):
             BenchScenario(name="x", n=10, m=10, rank_values=ranks)
 
     def test_single_cell_table(self):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nmfkit import linalg
+from nmfkit import bench, datagen, diagnostics, linalg, solvers
 from nmfkit.errors import (
     ContractViolationError,
     CsvFormatError,
@@ -148,6 +148,48 @@ class TestNormalizeColumns:
         with pytest.raises(DegenerateColumnError) as err:
             linalg.normalize_columns(M)
         assert err.value.column == 1
+
+
+_V = np.ones((6, 8))
+_PAIR = solvers.initial_factors(_V, 2, 0)
+_INOM = solvers.Algorithm.INOM
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("rank", lambda: solvers.SolverConfig(_INOM, rank=2.5)),
+            ("max_iters", lambda: solvers.SolverConfig(_INOM, rank=2, max_iters=3.5)),
+            ("rank", lambda: solvers.SolverConfig(_INOM, rank=True)),
+            ("seed", lambda: solvers.SolverConfig(_INOM, rank=2, seed=-1)),
+            ("seed", lambda: solvers.SolverConfig(_INOM, rank=2, seed=1.5)),
+            ("n", lambda: datagen.generate_dense_uniform(2.5, 3, 0, 1, 0)),
+            ("m", lambda: datagen.generate_sparse(2, 3.0, 0.5, 0)),
+            ("seed", lambda: datagen.generate_sparse(2, 3, 0.5, -1)),
+            ("num_sensors", lambda: datagen.BssScenario(num_sensors=2.5)),
+            ("seed", lambda: datagen.BssScenario(seed=-1)),
+            ("num_sources", lambda: datagen.BssScenario(num_sources=5.0)),
+            ("trials", lambda: bench.BenchScenario("x", 6, 8, (2,), trials=1.5)),
+            ("seed", lambda: bench.BenchScenario("x", 6, 8, (2,), seed=-1)),
+            ("rank", lambda: bench.BenchScenario("x", 6, 8, (2.0,))),
+            ("seed", lambda: solvers.initial_factors(_V, 2, -3)),
+            ("rank", lambda: solvers.initial_factors(_V, np.float64(2), 0)),
+            ("samples", lambda: diagnostics.audit_majorization(_V, _PAIR, _INOM, -2)),
+        ],
+    )
+    def test_bad_count_refused_where_it_enters(self, field, build):
+        with pytest.raises(ContractViolationError, match=f"^{field} must be"):
+            build()
+
+    def test_numpy_integers_and_zero_samples_accepted(self):
+        two, zero = np.int64(2), np.int64(0)
+        config = solvers.SolverConfig(_INOM, rank=two, max_iters=np.int32(3), seed=zero)
+        _, trace = solvers.solve(_V, config)
+        assert trace.iterations == 3
+        assert datagen.generate_dense_uniform(two, two, 0, 1, zero).shape == (2, 2)
+        bench.BenchScenario("x", two, np.int64(8), (np.int64(1),), trials=two)
+        assert diagnostics.audit_majorization(_V, _PAIR, _INOM, samples=0).passed
 
 
 class TestMaxRowSum:

@@ -29,6 +29,7 @@ from nmfkit.solvers import (
 from _util import (
     MatmulCounter,
     base_map,
+    hals_sweep_oracle,
     planted_instance,
     random_instance,
     with_target_at,
@@ -113,6 +114,39 @@ class TestInomUpdates:
             fd = fd_gradient_h(V, W, H)
             rel = np.linalg.norm(fd - GH) / np.linalg.norm(GH)
             assert rel <= 1e-6
+
+
+# r = 1, r = min(n, m) and a wide V.
+BLOCK_SHAPES = [(7, 5, 1), (7, 5, 5), (4, 60, 3)]
+
+
+class TestSharedBlockSteps:
+    @pytest.mark.parametrize("n, m, r", BLOCK_SHAPES)
+    def test_both_blocks_match_written_out_steps(self, n, m, r):
+        V, pair = random_instance(n * m + r, n=n, m=m, r=r)
+        W, H = pair.W, pair.H
+        G = W.T @ W
+        mu = linalg.max_row_sum(2.0 * G)
+        Hn, mu_out = inom_update_h(V, W, H)
+        assert mu_out == mu
+        assert np.array_equal(
+            Hn, np.maximum(0.0, H + (2.0 * (W.T @ V) - 2.0 * (G @ H)) / mu)
+        )
+        G = H @ H.T
+        nu = linalg.max_row_sum(2.0 * G)
+        Wn, nu_out, VHt, G_out = inom_update_w(V, W, H)
+        assert nu_out == nu
+        assert np.array_equal(VHt, V @ H.T) and np.array_equal(G_out, G)
+        assert np.array_equal(
+            Wn, np.maximum(0.0, W + (2.0 * (V @ H.T) - 2.0 * (W @ G)) / nu)
+        )
+        # The W step is the H step of the transposed problem.
+        Ht, mu_t = inom_update_h(V.T, H.T, W.T)
+        assert mu_t == nu_out
+        np.testing.assert_allclose(Ht.T, Wn, rtol=1e-12, atol=1e-15)
+        out, _ = fast_hals_iterate(V, pair)
+        W_ref, H_ref = hals_sweep_oracle(V, W, H)
+        assert np.array_equal(out.W, W_ref) and np.array_equal(out.H, H_ref)
 
 
 class TestInomIterate:
