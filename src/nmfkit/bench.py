@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, solvers
-from .datagen import generate_dense_uniform, generate_sparse
+from .datagen import derive_seed, generate_dense_uniform, generate_sparse
 from .errors import ContractViolationError, NmfError
 from .solvers import Algorithm, IterationTrace, SolverConfig
 
@@ -31,7 +31,6 @@ __all__ = [
     "MatrixKind",
     "BenchResults",
     "run_scenario",
-    "derive_seed",
     "sim1_run",
     "sim1_write_outputs",
     "sim2_scenario",
@@ -50,11 +49,6 @@ TARGET_FRACTION = 0.7
 class MatrixKind(Enum):
     DENSE_UNIFORM = "dense-uniform"
     SPARSE70 = "sparse70"
-
-
-def derive_seed(*parts: int) -> int:
-    """Collision-resistant integer seed derived from a tuple of integers."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -128,6 +122,15 @@ class TrialRow:
         )
 
 
+# The columns of the summary table, one row per (scenario, algorithm, r)
+# cell, in the order of BenchResults.summary_rows and summary.csv.
+SUMMARY_COLUMNS = (
+    "scenario", "algorithm", "r", "trials", "failed", "achieved_count",
+    "mean_elapsed_s", "std_elapsed_s", "mean_iters", "std_iters",
+    "mean_final_objective",
+)
+
+
 @dataclass
 class BenchResults:
     rows: list[TrialRow] = field(default_factory=list)
@@ -147,24 +150,15 @@ class BenchResults:
         out = []
         for (scen, alg, r), rows in sorted(cells.items()):
             good = [x for x in rows if x.error is None]
-            elapsed = np.array([x.elapsed_s for x in good])
-            iters = np.array([x.iters for x in good], dtype=float)
-            objs = np.array([x.final_objective for x in good])
-            out.append(
-                {
-                    "scenario": scen,
-                    "algorithm": alg,
-                    "r": r,
-                    "trials": len(rows),
-                    "failed": len(rows) - len(good),
-                    "achieved_count": sum(1 for x in good if x.achieved),
-                    "mean_elapsed_s": float(elapsed.mean()) if good else float("nan"),
-                    "std_elapsed_s": float(elapsed.std()) if good else float("nan"),
-                    "mean_iters": float(iters.mean()) if good else float("nan"),
-                    "std_iters": float(iters.std()) if good else float("nan"),
-                    "mean_final_objective": float(objs.mean()) if good else float("nan"),
-                }
-            )
+            stats = (np.nan,) * 5
+            if good:
+                elapsed = np.array([x.elapsed_s for x in good])
+                iters = np.array([x.iters for x in good], dtype=float)
+                objs = np.array([x.final_objective for x in good])
+                stats = (elapsed.mean(), elapsed.std(), iters.mean(), iters.std(), objs.mean())
+            achieved = sum(1 for x in good if x.achieved)
+            values = (scen, alg, r, len(rows), len(rows) - len(good), achieved)
+            out.append(dict(zip(SUMMARY_COLUMNS, values + tuple(map(float, stats)))))
         return out
 
     def write_results_csv(self, path) -> None:
@@ -180,26 +174,13 @@ class BenchResults:
                 )
 
     def write_summary_csv(self, path) -> None:
-        cols = [
-            "scenario",
-            "algorithm",
-            "r",
-            "trials",
-            "failed",
-            "achieved_count",
-            "mean_elapsed_s",
-            "std_elapsed_s",
-            "mean_iters",
-            "std_iters",
-            "mean_final_objective",
-        ]
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join(SUMMARY_COLUMNS) + "\n")
             for row in self.summary_rows():
                 fh.write(
                     ",".join(
                         repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                        for c in cols
+                        for c in SUMMARY_COLUMNS
                     )
                     + "\n"
                 )
@@ -220,14 +201,26 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
     Per trial, all algorithms share one data matrix. Per (trial, rank) cell,
     one seeded start is drawn and its objective f0 evaluated; every algorithm
     is then solved from that start to ``TARGET_FRACTION * f0``. A failing
-    solve, or a cell whose start fails, is recorded with its error message
-    and the scenario continues. Iteration counts are reproducible bit-for-bit
-    for a fixed scenario seed and BLAS thread count; elapsed times of course
-    are not.
+    solve, or a cell whose start or trial matrix fails, is recorded with its
+    error message and the scenario continues. Iteration counts are
+    reproducible bit-for-bit for a fixed scenario seed and BLAS thread count;
+    elapsed times of course are not.
     """
     results = BenchResults()
+
+    def fail(trial, ranks, exc):
+        results.rows.extend(
+            TrialRow.failed(scenario.name, alg, r, trial, exc)
+            for r in ranks
+            for alg in scenario.algorithms
+        )
+
     for trial in range(scenario.trials):
-        V = _trial_matrix(scenario, trial)
+        try:
+            V = _trial_matrix(scenario, trial)
+        except NmfError as exc:
+            fail(trial, scenario.rank_values, exc)
+            continue
         for r in scenario.rank_values:
             seed = derive_seed(scenario.seed, trial, 1, r)
             try:
@@ -235,10 +228,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
                 f0 = linalg.frobenius_residual(V, start.W, start.H)
                 target = TARGET_FRACTION * f0
             except NmfError as exc:
-                results.rows.extend(
-                    TrialRow.failed(scenario.name, alg, r, trial, exc)
-                    for alg in scenario.algorithms
-                )
+                fail(trial, (r,), exc)
                 continue
             for alg in scenario.algorithms:
                 try:
@@ -252,6 +242,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
 
 
 def _scaled(value: int, scale: float) -> int:
+    linalg.require_real(scale, "scale")
     if not 0.0 < scale <= 1.0:
         raise ContractViolationError(f"scale must be in (0, 1], got {scale}")
     return max(1, int(round(value * scale)))

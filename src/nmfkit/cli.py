@@ -68,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="matrix CSV ('rows,cols' header, then rows)")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--algo", type=_algorithm, default=Algorithm.INOM)
-    p.add_argument("--tol", type=float, default=solvers.DEFAULT_TOL)
-    p.add_argument("--max-iters", type=int, default=solvers.DEFAULT_MAX_ITERS)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument(
         "--normalize",
         action="store_true",
@@ -87,22 +87,22 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("sim1", "sim2-dense", "sim2-sparse", "sim3"),
     )
-    p.add_argument("--scale", type=float, default=None, help="size scale in (0, 1]")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--scale", type=float, help="size scale in (0, 1]")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", default="bench-out", help="output directory")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bss", help="source-separation reproduction")
-    p.add_argument("--noise-var", type=float, default=0.01)
-    p.add_argument("--sample-rate", type=float, default=100.0)
+    p.add_argument("--noise-var", type=float)
+    p.add_argument("--sample-rate", type=float)
     p.add_argument("--algo", type=_algorithm, default=Algorithm.INOM)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out-dir", default="bss-out")
     p.set_defaults(func=cmd_bss)
 
     p = sub.add_parser("verify", help="run the invariant verification suites")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(func=cmd_verify)
 
@@ -120,6 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(**flags) -> dict:
+    """The flags the user gave, as keyword arguments. A flag left out is
+    None and is not passed on, so the library's default applies."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def cmd_factorize(args) -> int:
     V = linalg.read_matrix_csv(args.input)
     if args.normalize:
@@ -134,9 +140,7 @@ def cmd_factorize(args) -> int:
     config = SolverConfig(
         algorithm=args.algo,
         rank=args.rank,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
+        **_given(tol=args.tol, max_iters=args.max_iters, seed=args.seed),
     )
     pair, trace = solvers.solve(V, config)
     linalg.write_matrix_csv(args.out_w, pair.W)
@@ -154,11 +158,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scale = args.scale
-    if scale is None:
-        scale = 1.0 if args.preset == "sim1" else 0.05
     if args.preset == "sim1":
-        result = bench.sim1_run(scale=scale, seed=args.seed)
+        result = bench.sim1_run(**_given(scale=args.scale, seed=args.seed))
         bench.sim1_write_outputs(args.out, result)
         for alg, trace in result.traces.items():
             print(
@@ -169,19 +170,16 @@ def cmd_bench(args) -> int:
         print(f"wrote sim1 outputs to {args.out}")
         return EXIT_OK
 
+    given = _given(scale=args.scale, trials=args.trials, seed=args.seed)
     if args.preset in ("sim2-dense", "sim2-sparse"):
         kind = (
             bench.MatrixKind.DENSE_UNIFORM
             if args.preset == "sim2-dense"
             else bench.MatrixKind.SPARSE70
         )
-        scenarios = [
-            bench.sim2_scenario(kind, scale=scale, trials=args.trials, seed=args.seed)
-        ]
+        scenarios = [bench.sim2_scenario(kind, **given)]
     else:
-        scenarios = bench.sim3_scenarios(
-            scale=scale, trials=args.trials, seed=args.seed
-        )
+        scenarios = bench.sim3_scenarios(**given)
     os.makedirs(args.out, exist_ok=True)
 
     results = bench.BenchResults()
@@ -259,14 +257,15 @@ def solve_bss(
     scenario: datagen.BssScenario, observed: np.ndarray, algorithm: Algorithm
 ):
     """The ``bss`` command's solve of ``observed``: rank = the number of
-    sources, a start seeded by ``scenario.seed`` (W uniform on [100, 500)
-    then column-normalized, H uniform on [200, 400)), ``tol`` 1e-8 and at
-    most 1000 iterations. Returns ``(pair, trace)`` from :func:`solvers.solve`.
+    sources, ``datagen.BSS_NUM_SOURCES``, a start seeded by ``scenario.seed``
+    (W uniform on [100, 500) then column-normalized, H uniform on [200,
+    400)), ``tol`` 1e-8 and at most 1000 iterations. Returns ``(pair,
+    trace)`` from :func:`solvers.solve`.
     """
-    rank = scenario.num_sources
+    rank = datagen.BSS_NUM_SOURCES
     rng = np.random.default_rng([scenario.seed, 1])
     W0 = linalg.normalize_columns(
-        rng.uniform(100.0, 500.0, size=(scenario.num_sensors, rank))
+        rng.uniform(100.0, 500.0, size=(datagen.BSS_NUM_SENSORS, rank))
     )
     H0 = rng.uniform(200.0, 400.0, size=(rank, scenario.num_samples))
     config = SolverConfig(
@@ -277,9 +276,11 @@ def solve_bss(
 
 def cmd_bss(args) -> int:
     scenario = datagen.BssScenario(
-        noise_variance=args.noise_var,
-        sample_rate_hz=args.sample_rate,
-        seed=args.seed,
+        **_given(
+            noise_variance=args.noise_var,
+            sample_rate_hz=args.sample_rate,
+            seed=args.seed,
+        )
     )
     sources, mixing, observed = datagen.generate_bss(scenario)
     pair, trace = solve_bss(scenario, observed, args.algo)
@@ -324,7 +325,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(seed=args.seed, quick=args.quick)
+    results = verify.run_all(quick=args.quick, **_given(seed=args.seed))
     failed = False
     for res in results:
         print(f"{res.name}: {res.checks} checks, {res.failures} failures")
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     except (CsvFormatError, OSError) as exc:
         print(f"nmfkit: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ContractViolationError as exc:
+    except (ContractViolationError, MemoryError) as exc:
         print(f"nmfkit: invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NmfError as exc:

@@ -1,5 +1,6 @@
 """Seeded synthetic inputs: dense uniform matrices, sparse matrices, and the
-five-source mixing scenario used by the source-separation demo.
+five-source mixing scenario used by the source-separation demo, whose fixed
+sizes are the ``BSS_*`` constants.
 
 Every generator is deterministic for a fixed seed and returns entrywise
 nonnegative float64 arrays.
@@ -16,11 +17,31 @@ from .errors import ContractViolationError
 
 __all__ = [
     "BssScenario",
+    "derive_seed",
     "generate_dense_uniform",
     "generate_sparse",
     "source_waveforms",
     "generate_bss",
 ]
+
+# Most entries a float64 array can hold: its byte count must fit in intp.
+MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def derive_seed(*parts: int) -> int:
+    """Collision-resistant integer seed derived from a tuple of integers."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def _require_shape(n, m, seed) -> None:
+    """Refuse bad counts, a bad seed and more entries than an array can hold."""
+    linalg.require_count(n, "n", 1)
+    linalg.require_count(m, "m", 1)
+    linalg.require_count(seed, "seed", 0)
+    if int(n) * int(m) > MAX_ARRAY_ENTRIES:
+        raise ContractViolationError(
+            f"{n} x {m} is more entries than a float64 array can hold"
+        )
 
 
 def generate_dense_uniform(n: int, m: int, lo: float, hi: float, seed: int) -> np.ndarray:
@@ -28,9 +49,9 @@ def generate_dense_uniform(n: int, m: int, lo: float, hi: float, seed: int) -> n
 
     Columns are not normalized; the caller decides whether to do that.
     """
-    linalg.require_count(n, "n", 1)
-    linalg.require_count(m, "m", 1)
-    linalg.require_count(seed, "seed", 0)
+    _require_shape(n, m, seed)
+    linalg.require_real(lo, "lo")
+    linalg.require_real(hi, "hi")
     if lo < 0:
         raise ContractViolationError(f"lo must be nonnegative, got {lo}")
     if not lo < hi < np.inf:
@@ -51,9 +72,8 @@ def generate_sparse(n: int, m: int, sparsity: float, seed: int) -> np.ndarray:
     The shift and the clip work in place on the sample, so the peak memory
     is the sample plus ``np.quantile``'s copy of it: twice the output.
     """
-    linalg.require_count(n, "n", 1)
-    linalg.require_count(m, "m", 1)
-    linalg.require_count(seed, "seed", 0)
+    _require_shape(n, m, seed)
+    linalg.require_real(sparsity, "sparsity")
     if not 0.0 <= sparsity < 1.0:
         raise ContractViolationError(f"sparsity must be in [0, 1), got {sparsity}")
     rng = np.random.default_rng(seed)
@@ -63,66 +83,60 @@ def generate_sparse(n: int, m: int, sparsity: float, seed: int) -> np.ndarray:
     return np.maximum(x, 0.0, out=x)
 
 
-# Most entries BssScenario allows in its num_sensors x num_samples observed
-# matrix (800 MB as float64), so that a huge sample rate is refused before
-# anything is allocated.
+# The source-separation experiment: BSS_DURATION_S seconds of the
+# BSS_NUM_SOURCES rows of source_waveforms, mixed onto BSS_NUM_SENSORS sensors.
+BSS_DURATION_S = 10.0
+BSS_NUM_SOURCES = 5
+BSS_NUM_SENSORS = 200
+# The fastest content: the chirp's 6t Hz at t = BSS_DURATION_S.
+BSS_MAX_HZ = 60.0
+# Most entries BssScenario allows in its observed matrix (800 MB as float64),
+# so that a huge sample rate is refused before anything is allocated.
 MAX_OBSERVED_ENTRIES = 10**8
 
 
 @dataclass(frozen=True)
 class BssScenario:
-    """Source-separation setup: five fixed waveforms mixed onto many sensors."""
+    """Source-separation setup: the fixed waveforms of
+    :func:`source_waveforms` over ``BSS_DURATION_S`` seconds, sampled at
+    ``sample_rate_hz`` and mixed onto ``BSS_NUM_SENSORS`` sensors."""
 
-    duration_s: float = 10.0
     sample_rate_hz: float = 100.0
-    num_sensors: int = 200
-    num_sources: int = 5
     noise_variance: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.duration_s < np.inf and 0 < self.sample_rate_hz < np.inf):
+        linalg.require_real(self.sample_rate_hz, "sample_rate_hz")
+        if not 0 < self.sample_rate_hz < np.inf:
             raise ContractViolationError(
-                f"duration and sample rate must be finite and positive, got "
-                f"{self.duration_s} s at {self.sample_rate_hz} Hz"
+                f"sample rate must be finite and positive, got {self.sample_rate_hz} Hz"
             )
-        linalg.require_count(self.num_sensors, "num_sensors", 1)
         linalg.require_count(self.seed, "seed", 0)
-        linalg.require_count(self.num_sources, "num_sources", 1)
-        if self.num_sources != 5:
-            raise ContractViolationError(
-                f"the scenario defines exactly 5 sources, got {self.num_sources}"
-            )
+        linalg.require_real(self.noise_variance, "noise_variance")
         if not 0 <= self.noise_variance < np.inf:
             raise ContractViolationError(
                 f"noise_variance must be finite and nonnegative, got "
                 f"{self.noise_variance}"
             )
-        count = self.duration_s * self.sample_rate_hz
+        count = BSS_DURATION_S * self.sample_rate_hz
         if not (count < np.inf and round(count) >= 1 and abs(count - round(count)) <= 1e-9):
             raise ContractViolationError(
                 f"duration * rate must be a positive integer sample count, got {count}"
             )
-        if self.num_sensors * round(count) > MAX_OBSERVED_ENTRIES:
+        if BSS_NUM_SENSORS * round(count) > MAX_OBSERVED_ENTRIES:
             raise ContractViolationError(
-                f"{self.num_sensors} sensors x {count:g} samples exceed the "
+                f"{BSS_NUM_SENSORS} sensors x {count:g} samples exceed the "
                 f"{MAX_OBSERVED_ENTRIES} entries allowed in the observed matrix"
             )
 
     @property
     def num_samples(self) -> int:
-        return int(round(self.duration_s * self.sample_rate_hz))
-
-    @property
-    def max_instantaneous_hz(self) -> float:
-        # The chirp sweeps at 6t Hz and ends at 6 * duration; the fixed sine
-        # tops out at 20 Hz.
-        return max(20.0, 6.0 * self.duration_s)
+        return int(round(BSS_DURATION_S * self.sample_rate_hz))
 
     @property
     def aliasing(self) -> bool:
         """True when the sample rate is below twice the fastest content."""
-        return self.sample_rate_hz < 2.0 * self.max_instantaneous_hz
+        return self.sample_rate_hz < 2.0 * BSS_MAX_HZ
 
 
 def source_waveforms(t: np.ndarray) -> np.ndarray:
@@ -162,9 +176,7 @@ def generate_bss(scenario: BssScenario):
     t = np.arange(m) / scenario.sample_rate_hz
     sources = np.maximum(0.0, source_waveforms(t))
     rng = np.random.default_rng(scenario.seed)
-    mixing = linalg.normalize_columns(
-        rng.random((scenario.num_sensors, scenario.num_sources))
-    )
+    mixing = linalg.normalize_columns(rng.random((BSS_NUM_SENSORS, BSS_NUM_SOURCES)))
     if scenario.noise_variance > 0.0:
         noise = rng.normal(0.0, np.sqrt(scenario.noise_variance), size=sources.shape)
         sources = np.maximum(0.0, sources + noise)

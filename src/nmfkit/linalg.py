@@ -8,6 +8,7 @@ here returns fresh arrays and never mutates its inputs.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 
 import numpy as np
@@ -23,8 +24,10 @@ __all__ = [
     "as_matrix",
     "require_nonnegative",
     "require_count",
+    "require_real",
     "frobenius_residual",
     "gram_objective",
+    "pair_objective",
     "column_norms",
     "nonzero_column_norms",
     "normalize_columns",
@@ -84,6 +87,14 @@ def require_count(value, name: str, least: int) -> None:
         raise ContractViolationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ContractViolationError(f"{name} must be >= {least}, got {value}")
+
+
+def require_real(value, name: str) -> None:
+    """:func:`require_count`'s twin: ``value``, the field ``name``, must be a
+    Python or numpy integer or float, not a bool. NaN passes to the caller's
+    interval check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{name} must be a real number, got {value!r}")
 
 
 # The row blocks of frobenius_residual hold at most this many entries (1 MiB
@@ -157,6 +168,14 @@ def gram_objective(V, W, H, v_sq: float, cross: float, WtW, HHt) -> float:
     if f < GRAM_EXACT_BELOW * v_sq:
         return frobenius_residual(V, W, H)
     return f
+
+
+def pair_objective(V, W, H, v_sq: float):
+    """``(f, (W^T V, W^T W, H H^T))``: :func:`gram_objective` of ``(W, H)``
+    and the products it forms, which a map hands on with the pair."""
+    WtV, WtW, HHt = W.T @ V, W.T @ W, H @ H.T
+    f = gram_objective(V, W, H, v_sq, float(np.vdot(WtV, H)), WtW, HHt)
+    return f, (WtV, WtW, HHt)
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:

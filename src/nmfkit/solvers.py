@@ -29,15 +29,14 @@ products=None) -> (pair, info)``. Given ``v_sq = ||V||_F**2``,
 (:func:`linalg.gram_objective`) from products the step has already computed;
 without it the objective is not evaluated.
 
-The products carry: a map whose objective already forms products of the
-pair it returns hands them on as ``info["products"] = (W^T V, W^T W,
-H H^T)`` (an entry it did not form is None), and the next call, given them
-as ``products=``, does not form them again. :func:`solve` threads them from
-one call to the next. ``products=None`` means "form them here", so a pair
-built or changed by hand never meets stale products. PARINOM carries all
-three and Fast-HALS its final ``W^T W``. INOM and MU accept the keyword and
-return no products: their objectives use the factors before normalization,
-whose products are not those of the returned pair.
+The products carry: PARINOM's objective forms ``(W^T V, W^T W, H H^T)``
+of the pair it returns (:func:`linalg.pair_objective`), and its step needs
+the same three of the incoming pair. It hands them on as
+``info["products"]``, and the next call, given them as ``products=``, does
+not form them again. :func:`solve` threads them from one call to the next.
+``products=None`` means "form them here", so a pair built or changed by
+hand never meets stale products. INOM, MU and Fast-HALS accept the keyword,
+ignore it and hand on no products.
 
 The multiplicative maps and Fast-HALS floor their entries at the fixed
 constant :data:`POSITIVITY_FLOOR`.
@@ -116,12 +115,15 @@ class SolverConfig:
                 f"algorithm must be an Algorithm ({choices}), got {self.algorithm!r}"
             )
         linalg.require_count(self.rank, "rank", 1)
+        linalg.require_real(self.tol, "tol")
         if not self.tol > 0:
             raise ContractViolationError(f"tol must be > 0, got {self.tol}")
-        if self.target is not None and not self.target >= 0.0:
-            raise ContractViolationError(
-                f"target must be a nonnegative objective level, got {self.target}"
-            )
+        if self.target is not None:
+            linalg.require_real(self.target, "target")
+            if not self.target >= 0.0:
+                raise ContractViolationError(
+                    f"target must be a nonnegative objective level, got {self.target}"
+                )
         linalg.require_count(self.max_iters, "max_iters", 1)
         linalg.require_count(self.seed, "seed", 0)
 
@@ -384,10 +386,8 @@ def parinom_iterate(
     pair = FactorPair(Wn, Hn)
     if v_sq is None:
         return pair, {}
-    W, H = pair.W, pair.H
-    out = (W.T @ V, W.T @ W, H @ H.T)
-    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(out[0], H)), out[1], out[2])
-    return pair, {"objective": f, "products": out}
+    f, products = linalg.pair_objective(V, Wn, Hn, v_sq)
+    return pair, {"objective": f, "products": products}
 
 
 def mu_iterate(
@@ -434,22 +434,19 @@ def fast_hals_iterate(
     """One Fast-HALS sweep: :func:`_hals_sweep` over the rows of H, then over
     the columns of W, each one's exact nonnegative minimizer (for W, on the
     unit sphere). With ``v_sq`` the objective reuses the W sweep's ``V H^T``
-    and ``H H^T`` and forms the final ``W^T W``; ``info["products"]`` is
-    ``(None, W^T W, H H^T)``, and the next sweep takes that ``W^T W`` as its
-    ``Q``."""
+    and ``H H^T`` and forms the final ``W^T W``. ``products`` is ignored and
+    none are returned."""
     W = state.W.copy()
     H = state.H.copy()
-    Q = W.T @ W if products is None else products[1]
-    _hals_sweep(H, V.T @ W, Q, unit=False)
+    _hals_sweep(H, V.T @ W, W.T @ W, unit=False)
     R = V @ H.T
     S = H @ H.T
     _hals_sweep(W.T, R, S, unit=True)
     pair = FactorPair(W, H)
     if v_sq is None:
         return pair, {}
-    WtW = W.T @ W
-    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(R, W)), WtW, S)
-    return pair, {"objective": f, "products": (None, WtW, S)}
+    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(R, W)), W.T @ W, S)
+    return pair, {"objective": f}
 
 
 # The attribute of this module holding each base algorithm's map. It is read

@@ -12,14 +12,15 @@ The objective serves only as the descent test on each candidate (Varadhan &
 Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
 value from the caller (``solve`` already holds it) and the two-step
 iterate's value from the base map. Each extrapolated candidate costs one
-Gram-form evaluation (:func:`linalg.gram_objective`), whose only O(nmr)
+Gram-form evaluation (:func:`linalg.pair_objective`), whose only O(nmr)
 product is ``W^T V``. No step builds the n x m residual, except where the
 Gram form falls back to the exact value near a perfect fit. The accepted
 candidate's value and products are returned in :class:`AccelState`, and
-the next step hands those products to its first base application. An
-accelerated PARINOM step so forms 5 + b O(nmr) products, where b is the
-backtrack count: one in the first base application, three in the second
-(its objective included) and one per extrapolated candidate.
+the next step hands those products to its first base application, which
+reads them when it is PARINOM. An accelerated PARINOM step so forms 5 + b
+O(nmr) products, where b is the backtrack count: one in the first base
+application, three in the second (its objective included) and one per
+extrapolated candidate.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ _ALPHA_SNAP = 1e-12
 class AccelState:
     """Outcome of one accelerated step. ``objective`` is that of the pair
     :func:`squarem_step` returns with it, and ``products`` that pair's
-    ``(W^T V, W^T W, H H^T)`` for the next step's ``products=`` (None when
-    the accepted pair is the two-step iterate of a map that hands on no
-    products)."""
+    ``(W^T V, W^T W, H H^T)`` for the next step's ``products=``, or None
+    when the accepted pair is the two-step iterate of a map other than
+    PARINOM, the one map that hands on products."""
 
     alpha_w: float
     alpha_h: float
@@ -142,9 +143,7 @@ def squarem_step(
         Wc = x2.W if aw == -1.0 else _extrapolate(x0.W, rw, vw, aw)
         Hc = x2.H if ah == -1.0 else _extrapolate(x0.H, rh, vh, ah)
         Wc, Hc = normalize_pair(Wc, Hc)
-        pc = (Wc.T @ V, Wc.T @ Wc, Hc @ Hc.T)
-        cross = float(np.vdot(pc[0], Hc))
-        f = linalg.gram_objective(V, Wc, Hc, v_sq, cross, pc[1], pc[2])
+        f, pc = linalg.pair_objective(V, Wc, Hc, v_sq)
         return FactorPair(Wc, Hc), f, pc
 
     candidate, f_candidate, p_candidate = build(alpha_w, alpha_h)

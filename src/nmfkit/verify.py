@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, linalg, solvers
-from .bench import derive_seed
+from .datagen import derive_seed
 from .errors import NmfError
 from .solvers import MONOTONE_SLACK, Algorithm, FactorPair, SolverConfig
 

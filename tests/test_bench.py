@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nmfkit import bench, linalg, solvers
+from nmfkit import bench, datagen, linalg, solvers
 from nmfkit.bench import (
     BenchScenario,
     MatrixKind,
@@ -147,7 +147,7 @@ class TestScenario:
         for k, r in enumerate(scenario.rank_values):
             cell = calls[3 * k : 3 * k + 3]
             assert [c.algorithm for c, _, _ in cell] == list(scenario.algorithms)
-            seed = bench.derive_seed(scenario.seed, 0, 1, r)
+            seed = datagen.derive_seed(scenario.seed, 0, 1, r)
             seeded = solvers.initial_factors(V, r, seed)
             for config, init, trace in cell:
                 assert np.array_equal(init.W, seeded.W)

@@ -403,6 +403,25 @@ class TestBench:
         assert len(results) > 1
         assert (tmp_path / "summary.csv").exists()
 
+    def test_trial_whose_matrix_cannot_be_normalized_becomes_failed_rows(
+        self, tmp_path, capsys
+    ):
+        # Trial 0's 10 x 50 sparse matrix has an all-zero column 13; trial 1's
+        # has none. Nine ranks times six algorithms make 54 cells a trial.
+        argv = ["bench", "--preset", "sim2-sparse", "--scale", "0.001", "--trials", "2"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "note: 54 cell(s) failed" in err
+        assert "column 13 is identically zero" in err
+        lines = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        rows = [ln.split(",") for ln in lines]
+        by_trial = {t: [x for x in rows if x[3] == t] for t in ("0", "1")}
+        assert len(by_trial["0"]) == len(by_trial["1"]) == 54
+        assert all(x[4] == "nan" and x[5] == "0" for x in by_trial["0"])
+        assert all(x[4] != "nan" and int(x[5]) >= 1 for x in by_trial["1"])
+        summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert all(ln.split(",")[3:5] == ["2", "1"] for ln in summary)
+
 
 class TestBss:
     def test_reports_and_outputs(self, tmp_path, capsys):
@@ -609,6 +628,31 @@ class TestGenerate:
             ["generate", "dense", "--n", "2", "--m", "2", "--hi", "inf", "--out", str(out)]
         )
         assert_invalid_request(code, capsys, "need lo < hi < inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_size_no_array_can_hold_exits_one(self, tmp_path, kind):
+        # A child process, so that a missed refusal cannot take this one down.
+        out = tmp_path / "V.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmfkit.cli", "generate", kind, "--n", "100000000000",
+             "--m", "100000000000", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("nmfkit: invalid request: ")
+        assert "a float64 array can hold" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_memory_error_is_invalid_request(self, tmp_path, capsys, monkeypatch):
+        def refuse(n, m, lo, hi, seed):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(datagen, "generate_dense_uniform", refuse)
+        out = tmp_path / "V.csv"
+        code = main(["generate", "dense", "--n", "1000000", "--m", "1000000", "--out", str(out)])
+        assert_invalid_request(code, capsys, "Unable to allocate 7.28 TiB")
         assert not out.exists()
 
 

@@ -167,9 +167,7 @@ class TestRequireCount:
             ("n", lambda: datagen.generate_dense_uniform(2.5, 3, 0, 1, 0)),
             ("m", lambda: datagen.generate_sparse(2, 3.0, 0.5, 0)),
             ("seed", lambda: datagen.generate_sparse(2, 3, 0.5, -1)),
-            ("num_sensors", lambda: datagen.BssScenario(num_sensors=2.5)),
             ("seed", lambda: datagen.BssScenario(seed=-1)),
-            ("num_sources", lambda: datagen.BssScenario(num_sources=5.0)),
             ("trials", lambda: bench.BenchScenario("x", 6, 8, (2,), trials=1.5)),
             ("seed", lambda: bench.BenchScenario("x", 6, 8, (2,), seed=-1)),
             ("rank", lambda: bench.BenchScenario("x", 6, 8, (2.0,))),
@@ -190,6 +188,37 @@ class TestRequireCount:
         assert datagen.generate_dense_uniform(two, two, 0, 1, zero).shape == (2, 2)
         bench.BenchScenario("x", two, np.int64(8), (np.int64(1),), trials=two)
         assert diagnostics.audit_majorization(_V, _PAIR, _INOM, samples=0).passed
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("tol", lambda: solvers.SolverConfig(_INOM, 2, tol="1e-3")),
+            ("tol", lambda: solvers.SolverConfig(_INOM, 2, tol=None)),
+            ("tol", lambda: solvers.SolverConfig(_INOM, 2, tol=True)),
+            ("target", lambda: solvers.SolverConfig(_INOM, 2, target="1")),
+            ("sample_rate_hz", lambda: datagen.BssScenario(sample_rate_hz="100")),
+            ("noise_variance", lambda: datagen.BssScenario(noise_variance=None)),
+            ("lo", lambda: datagen.generate_dense_uniform(2, 3, "0", 1, 0)),
+            ("hi", lambda: datagen.generate_dense_uniform(2, 3, 0, [1], 0)),
+            ("sparsity", lambda: datagen.generate_sparse(2, 3, "0.5", 0)),
+            ("scale", lambda: bench.sim2_scenario(bench.MatrixKind.SPARSE70, scale="1")),
+        ],
+    )
+    def test_non_number_refused_where_it_enters(self, field, build):
+        with pytest.raises(ContractViolationError, match=f"^{field} must be a real number"):
+            build()
+
+    def test_numpy_reals_accepted_and_nan_fails_the_interval(self):
+        config = solvers.SolverConfig(
+            _INOM, 2, tol=np.float64(1e-3), target=np.float32(0.5)
+        )
+        assert config.tol == 1e-3
+        assert datagen.BssScenario(sample_rate_hz=np.int64(200)).num_samples == 2000
+        assert datagen.generate_sparse(2, 3, np.float64(0.5), 0).shape == (2, 3)
+        with pytest.raises(ContractViolationError, match="^tol must be > 0"):
+            solvers.SolverConfig(_INOM, 2, tol=math.nan)
 
 
 class TestMaxRowSum:

@@ -580,25 +580,37 @@ def uncarried_solve(V, config, steps):
 
 
 class TestProductCarry:
-    """Maps hand their output pair's products to the next call; the carry
-    must change no bit of any iterate."""
+    """PARINOM hands its output pair's products to the next call; the carry
+    must change no bit of any iterate, and no other map reads it."""
 
     @pytest.mark.parametrize("alg", list(solvers.BASE_MAPS), ids=lambda a: a.value)
     def test_products_belong_to_returned_pair(self, alg):
+        # Only PARINOM hands products on, and only with its objective.
         V, pair = random_instance(600, n=20, m=30, r=4)
         out, info = base_map(alg)(V, pair, v_sq=float(np.vdot(V, V)))
-        if alg in (Algorithm.INOM, Algorithm.MU):
+        if alg is not Algorithm.PARINOM:
             assert "products" not in info
             return
         for got, want in zip(info["products"], fresh_products(V, out)):
-            assert got is None or np.array_equal(got, want)
-        assert (info["products"][0] is None) == (alg is Algorithm.FAST_HALS)
+            assert np.array_equal(got, want)
         _, bare = base_map(alg)(V, pair)
         assert "products" not in bare
 
     @pytest.mark.parametrize(
-        "alg", [Algorithm.PARINOM, Algorithm.FAST_HALS], ids=lambda a: a.value
+        "alg", [Algorithm.INOM, Algorithm.MU, Algorithm.FAST_HALS], ids=lambda a: a.value
     )
+    def test_other_maps_ignore_products(self, alg):
+        V, pair = random_instance(605, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        plain, plain_info = base_map(alg)(V, pair, v_sq=v_sq)
+        wrong = tuple(np.full_like(p, np.nan) for p in fresh_products(V, pair))
+        for products in (fresh_products(V, pair), wrong):
+            out, info = base_map(alg)(V, pair, v_sq=v_sq, products=products)
+            assert np.array_equal(out.W, plain.W)
+            assert np.array_equal(out.H, plain.H)
+            assert info["objective"] == plain_info["objective"]
+
+    @pytest.mark.parametrize("alg", [Algorithm.PARINOM], ids=lambda a: a.value)
     def test_carried_loop_equals_uncarried(self, alg):
         V, start = random_instance(601, n=20, m=30, r=4)
         v_sq = float(np.vdot(V, V))
