@@ -162,15 +162,20 @@ class BenchResults:
         return out
 
     def write_results_csv(self, path) -> None:
+        """One line per row. The last column, ``error``, is empty for a
+        finished solve and holds a failed one's message, double-quoted with
+        inner quotes doubled, since a message can hold commas."""
         with open(path, "w", encoding="ascii") as fh:
             fh.write(
-                "scenario,algorithm,r,trial,elapsed_s,iters,achieved,final_objective\n"
+                "scenario,algorithm,r,trial,elapsed_s,iters,achieved,final_objective,"
+                "error\n"
             )
             for x in self.rows:
+                error = "" if x.error is None else '"' + x.error.replace('"', '""') + '"'
                 fh.write(
                     f"{x.scenario},{x.algorithm.value},{x.r},{x.trial},"
                     f"{x.elapsed_s!r},{x.iters},{str(x.achieved).lower()},"
-                    f"{x.final_objective!r}\n"
+                    f"{x.final_objective!r},{error}\n"
                 )
 
     def write_summary_csv(self, path) -> None:

@@ -1,12 +1,13 @@
 """Squared-extrapolation acceleration for monotone fixed-point NMF maps.
 
-One accelerated step applies a base map twice, extrapolates each factor
-along its squared iterate difference, and backtracks the extrapolation
-weights toward -1 until the Frobenius objective does not rise. At alpha = -1
-the candidate is exactly the two-step iterate, so backtracking always
-terminates because the base map itself never increases the objective. The
-base map is any monotone map of :mod:`solvers`' one signature ``(V, pair, *,
-v_sq=None, products=None) -> (pair, info)``, passed in by the caller.
+One accelerated step applies a base map twice, extrapolates the pair (W, H)
+along its squared iterate difference with one step length alpha, and
+backtracks alpha toward -1 until the Frobenius objective does not rise. At
+alpha = -1 the candidate is exactly the two-step iterate, so backtracking
+always terminates because the base map itself never increases the
+objective. The base map is any monotone map of :mod:`solvers`' one
+signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``,
+passed in by the caller.
 
 The objective serves only as the descent test on each candidate (Varadhan &
 Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
@@ -35,7 +36,8 @@ from . import linalg
 from .errors import NumericalFailureError
 from .solvers import POSITIVITY_FLOOR, FactorPair, normalize_pair
 
-# Not called here: perfbench's tracer wraps these two names in this module.
+# Not called here: perfbench's tracer wraps these two names in this module;
+# the next benchmark change drops them.
 from .solvers import mu_iterate, parinom_iterate  # noqa: F401
 
 __all__ = ["AccelState", "squarem_step"]
@@ -49,34 +51,35 @@ _ALPHA_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class AccelState:
-    """Outcome of one accelerated step. ``objective`` is that of the pair
-    :func:`squarem_step` returns with it, and ``products`` that pair's
+    """Outcome of one accelerated step. ``alpha`` is the accepted step length
+    of the pair, -1 for the two-step iterate. ``objective`` is that of the
+    pair :func:`squarem_step` returns with it, and ``products`` that pair's
     ``(W^T V, W^T W, H H^T)`` for the next step's ``products=``, or None
     when the accepted pair is the two-step iterate of a map other than
     PARINOM, the one map that hands on products."""
 
-    alpha_w: float
-    alpha_h: float
+    alpha: float
     backtracks: int
     objective: float
     products: Optional[tuple] = field(repr=False, compare=False)
 
+    # Read-only aliases of ``alpha`` for perfbench's tracer, which reads
+    # these two names; the next benchmark change drops them.
+    @property
+    def alpha_w(self) -> float:
+        return self.alpha
 
-def _frob(M: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(M * M)))
+    @property
+    def alpha_h(self) -> float:
+        return self.alpha
+
+
+def _sq(M: np.ndarray) -> float:
+    return float(np.vdot(M, M))
 
 
 def _extrapolate(x0, r, v, alpha: float) -> np.ndarray:
     return np.maximum(POSITIVITY_FLOOR, x0 - 2.0 * alpha * r + alpha * alpha * v)
-
-
-def _start_alpha(r, v, force_alpha: float | None) -> float:
-    """-||r||_F / ||v||_F, or ``force_alpha`` when given; -1, which pins the
-    factor to its two-step value, when ||v||_F is below ``DEGENERATE_NORM``."""
-    nv = _frob(v)
-    if nv < DEGENERATE_NORM:
-        return -1.0
-    return -_frob(r) / nv if force_alpha is None else force_alpha
 
 
 def _backtrack(alpha: float) -> float:
@@ -99,25 +102,24 @@ def squarem_step(
 
     ``base_map`` is a map such as ``solvers.parinom_iterate``, with the
     signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``;
-    it must not raise the objective. Per factor X in {W, H}: with
-    x1 = base_map(x0) and x2 = base_map(x1), r = x1 - x0, v = x2 - x1 - r and
-    alpha = -||r||_F / ||v||_F, the candidate is
-    ``max(POSITIVITY_FLOOR, x0 - 2 alpha r + alpha^2 v)``, with the W
-    candidate column-normalized. An alpha of exactly -1 pins its factor to
-    its two-step value, and a factor whose ||v|| is below ``DEGENERATE_NORM``
-    starts pinned. While the candidate objective exceeds the objective at x0
-    and a factor is unpinned, both alphas move as alpha <- (alpha - 1) / 2,
-    which keeps -1 at -1, and the candidate is rebuilt. If the accepted
-    extrapolation is still worse than the plain two-step iterate, the
-    two-step iterate is returned, so acceleration never loses to simply
-    applying the map twice.
+    it must not raise the objective. With x1 = base_map(x0),
+    x2 = base_map(x1), r = x1 - x0 and v = x2 - x1 - r, all over the pair
+    (W, H) stacked, the step length is alpha = -||r|| / ||v||, one value for
+    both factors. The candidate is ``max(POSITIVITY_FLOOR, x0 - 2 alpha r +
+    alpha^2 v)`` per factor, column-normalized as a pair. When ||v|| is below
+    ``DEGENERATE_NORM`` alpha is -1, the two-step iterate. While the
+    candidate objective exceeds the objective at x0, alpha moves as
+    alpha <- (alpha - 1) / 2, which keeps -1 at -1, and the candidate is
+    rebuilt. If the accepted extrapolation is still worse than the plain
+    two-step iterate, the two-step iterate is returned, so acceleration never
+    loses to simply applying the map twice.
 
-    ``force_alpha`` sets the alpha of every factor that is not degenerate
-    (useful for checking the alpha = -1 identity, which reproduces the
-    two-step iterate exactly). ``f0`` is the objective of ``state`` and
-    ``v_sq`` is ``||V||_F**2``; ``solve`` already holds both. ``products``
-    are those of ``state``, as the previous step's :class:`AccelState`
-    returned them, or None to form them here.
+    ``force_alpha`` sets alpha unless ||v|| is degenerate (useful for
+    checking the alpha = -1 identity, which reproduces the two-step iterate
+    exactly). ``f0`` is the objective of ``state`` and ``v_sq`` is
+    ``||V||_F**2``; ``solve`` already holds both. ``products`` are those of
+    ``state``, as the previous step's :class:`AccelState` returned them, or
+    None to form them here.
     """
     x0 = state
     x1, _ = base_map(V, x0, products=products)
@@ -132,43 +134,47 @@ def squarem_step(
     rh = x1.H - x0.H
     vh = x2.H - x1.H - rh
 
-    alpha_w = _start_alpha(rw, vw, force_alpha)
-    alpha_h = _start_alpha(rh, vh, force_alpha)
+    norm_v = math.sqrt(_sq(vw) + _sq(vh))
+    if norm_v < DEGENERATE_NORM:
+        alpha = -1.0
+    elif force_alpha is not None:
+        alpha = force_alpha
+    else:
+        alpha = -math.sqrt(_sq(rw) + _sq(rh)) / norm_v
 
-    def build(aw: float, ah: float) -> tuple[FactorPair, float, Optional[tuple]]:
-        if aw == ah == -1.0:
+    def build(alpha: float) -> tuple[FactorPair, float, Optional[tuple]]:
+        if alpha == -1.0:
             # Return the two-step iterate verbatim (already normalized);
             # renormalizing would perturb it at roundoff level.
             return x2.copy(), f2, p2
-        Wc = x2.W if aw == -1.0 else _extrapolate(x0.W, rw, vw, aw)
-        Hc = x2.H if ah == -1.0 else _extrapolate(x0.H, rh, vh, ah)
-        Wc, Hc = normalize_pair(Wc, Hc)
+        Wc, Hc = normalize_pair(
+            _extrapolate(x0.W, rw, vw, alpha), _extrapolate(x0.H, rh, vh, alpha)
+        )
         f, pc = linalg.pair_objective(V, Wc, Hc, v_sq)
         return FactorPair(Wc, Hc), f, pc
 
-    candidate, f_candidate, p_candidate = build(alpha_w, alpha_h)
+    candidate, f_candidate, p_candidate = build(alpha)
     backtracks = 0
-    # Once both factors are pinned the candidate is the two-step iterate,
-    # accepted on the base map's own monotonicity.
-    while f_candidate > f0 and not alpha_w == alpha_h == -1.0:
+    # At alpha = -1 the candidate is the two-step iterate, accepted on the
+    # base map's own monotonicity.
+    while f_candidate > f0 and alpha != -1.0:
         if backtracks >= MAX_BACKTRACKS:
             raise NumericalFailureError(
                 f"backtracking failed to restore descent after {backtracks} rounds"
             )
-        alpha_w, alpha_h = _backtrack(alpha_w), _backtrack(alpha_h)
+        alpha = _backtrack(alpha)
         backtracks += 1
         # Drop the rejected candidate's products before forming the next.
         p_candidate = None
-        candidate, f_candidate, p_candidate = build(alpha_w, alpha_h)
+        candidate, f_candidate, p_candidate = build(alpha)
 
     # Never finish worse than the plain two-step iterate.
     if f_candidate > f2:
         candidate, f_candidate, p_candidate = x2.copy(), f2, p2
-        alpha_w = alpha_h = -1.0
+        alpha = -1.0
 
     return candidate, AccelState(
-        alpha_w=alpha_w,
-        alpha_h=alpha_h,
+        alpha=alpha,
         backtracks=backtracks,
         objective=f_candidate,
         products=p_candidate,

@@ -4,7 +4,8 @@ Each invariant has one measure here, taking a single instance: the largest
 objective rise of a solve (:func:`monotone_rise`), the drift of a planted
 factorization under one base map (:func:`fixed_point_drift`), the smallest
 eigenvalue of the row-sum step bound minus the matrix (:func:`psd_gap`) and
-the stationarity-residual ratio of a solve (:func:`kkt_ratio`). The suites
+the stationarity-residual ratio of a solve (:func:`kkt_ratio`) and the
+SQUAREM invariants around one base map (:func:`acceleration_gaps`). The suites
 apply them, and ``diagnostics.audit_majorization``, to seeded random
 instances and count violations; the acceptance tests apply the same
 measures to their own instances. Measures call the solver modules through
@@ -15,11 +16,11 @@ observed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import diagnostics, linalg, solvers
+from . import diagnostics, linalg, solvers, squarem
 from .datagen import derive_seed
 from .errors import NmfError
 from .solvers import MONOTONE_SLACK, Algorithm, FactorPair, SolverConfig
@@ -32,6 +33,8 @@ __all__ = [
     "fixed_point_drift",
     "psd_gap",
     "kkt_ratio",
+    "AccelerationGaps",
+    "acceleration_gaps",
 ]
 
 # Largest entry change a planted factorization may show under one map.
@@ -40,6 +43,8 @@ FIXED_POINT_TOL = 1e-12
 PSD_TOL = 1e-9
 # A solve must shrink the stationarity residual by at least this factor.
 KKT_DROP = 1e-2
+# Absolute slack by which k accelerated steps may trail 2k plain ones.
+DOMINANCE_SLACK = 1e-9
 
 @dataclass
 class SuiteResult:
@@ -103,6 +108,58 @@ def kkt_ratio(V, config: SolverConfig) -> float:
     before = diagnostics.kkt_residual(V, start.W, start.H).combined
     pair, _ = solvers.solve(V, config, init=start)
     return diagnostics.kkt_residual(V, pair.W, pair.H).combined / before
+
+
+class AccelerationGaps(NamedTuple):
+    """The SQUAREM invariants around one base map; see
+    :func:`acceleration_gaps`."""
+
+    identity_exact: bool
+    rise: float
+    lag: float
+
+
+def acceleration_gaps(
+    V, start: FactorPair, alg: Algorithm, steps: int
+) -> AccelerationGaps:
+    """SQUAREM around the base map of ``alg`` (a key of
+    ``solvers.BASE_MAPS``) from ``start``, checked three ways:
+    ``identity_exact`` tells whether alpha = -1 gives the two-step iterate
+    bit for bit; ``rise`` is the largest objective rise over ``steps``
+    accepted steps beyond ``MONOTONE_SLACK * max(1, f)``; and ``lag`` is the
+    largest amount by which the objective after k accelerated steps exceeds
+    the one after 2k plain steps, beyond ``DOMINANCE_SLACK``. ``rise`` and
+    ``lag`` are at most 0 when the invariants hold. Every objective is the
+    exact residual of its iterate, so a wrong Gram-form value in the step
+    cannot hide a violation.
+    """
+    step = getattr(solvers, solvers.BASE_MAPS[alg])
+    v_sq = float(np.vdot(V, V))
+
+    def objective(pair):
+        return linalg.frobenius_residual(V, pair.W, pair.H)
+
+    x1, _ = step(V, start.copy())
+    x2, _ = step(V, x1)
+    forced, _ = squarem.squarem_step(
+        V, start.copy(), step, f0=objective(start), v_sq=v_sq, force_alpha=-1.0
+    )
+    exact = np.array_equal(forced.W, x2.W) and np.array_equal(forced.H, x2.H)
+
+    plain = [objective(start)]
+    s = start.copy()
+    for _ in range(2 * steps):
+        s, _ = step(V, s)
+        plain.append(objective(s))
+    s, f_prev = start.copy(), plain[0]
+    rise = lag = -np.inf
+    for k in range(1, steps + 1):
+        s, _ = squarem.squarem_step(V, s, step, f0=f_prev, v_sq=v_sq)
+        f = objective(s)
+        rise = max(rise, f - f_prev - MONOTONE_SLACK * max(1.0, f_prev))
+        lag = max(lag, f - plain[2 * k] - DOMINANCE_SLACK)
+        f_prev = f
+    return AccelerationGaps(bool(exact), float(rise), float(lag))
 
 
 def _random_instance(seed: int, n: int = 12, m: int = 15, r: int = 3):
@@ -203,12 +260,40 @@ def _suite_kkt_decrease(seed: int, quick: bool) -> SuiteResult:
     return result
 
 
+def _suite_acceleration(seed: int, quick: bool) -> SuiteResult:
+    result = SuiteResult("acceleration")
+    instances = 2 if quick else 5
+    steps = 5 if quick else 10
+    for alg in solvers.BASE_MAPS:
+        for i in range(instances):
+            V, r = _random_instance(derive_seed(seed, 70, i), r=i % 3 + 2)
+            start = solvers.initial_factors(V, r, derive_seed(seed, 71, i))
+            gaps = acceleration_gaps(V, start, alg, steps)
+            where = f"map={alg.value} instance={i}"
+            result.record(
+                gaps.identity_exact,
+                f"{where} alpha = -1 did not reproduce the two-step iterate",
+            )
+            result.record(
+                gaps.rise <= 0.0,
+                f"{where} accepted step raised the objective by {gaps.rise!r} "
+                "beyond the slack",
+            )
+            result.record(
+                gaps.lag <= 0.0,
+                f"{where} accelerated steps trailed twice as many plain steps "
+                f"by {gaps.lag!r} beyond the slack",
+            )
+    return result
+
+
 SUITES = (
     ("monotonicity", _suite_monotonicity),
     ("majorization", _suite_majorization),
     ("fixed-point", _suite_fixed_point),
     ("psd-bound", _suite_psd_bound),
     ("kkt-decrease", _suite_kkt_decrease),
+    ("acceleration", _suite_acceleration),
 )
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestCsvOutputs:
         lines2 = p2.read_text().splitlines()
         assert (
             lines1[0]
-            == "scenario,algorithm,r,trial,elapsed_s,iters,achieved,final_objective"
+            == "scenario,algorithm,r,trial,elapsed_s,iters,achieved,final_objective,error"
         )
 
         def strip_elapsed(lines):
@@ -271,6 +272,29 @@ class TestCsvOutputs:
             return out
 
         assert strip_elapsed(lines1) == strip_elapsed(lines2)
+
+    def test_failed_row_carries_its_message(self, tmp_path):
+        # The message holds a comma and a quote; the CSV reader must get it
+        # back whole in the last column, and a finished row's column is empty.
+        scenario = BenchScenario(
+            name="err", n=10, m=12, rank_values=(2,), algorithms=(Algorithm.INOM,),
+            trials=1, seed=13,
+        )
+        results = run_scenario(scenario)
+        message = 'column 3 is identically zero, "W" cannot be normalized'
+        results.rows.append(
+            bench.TrialRow.failed(
+                "err", Algorithm.MU, 2, 0, NumericalFailureError(message)
+            )
+        )
+        path = tmp_path / "r.csv"
+        results.write_results_csv(path)
+        with open(path, newline="", encoding="ascii") as fh:
+            header, good, failed = list(csv.reader(fh))
+        assert header[-1] == "error"
+        assert len(good) == len(failed) == len(header)
+        assert good[-1] == ""
+        assert failed[4:] == ["nan", "0", "false", "nan", message]
 
     def test_summary_csv(self, tmp_path):
         scenario = BenchScenario(

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from nmfkit import cli, datagen, diagnostics, linalg, solvers
+from nmfkit import cli, datagen, diagnostics, linalg, solvers, squarem
 from nmfkit.solvers import FactorPair
 from nmfkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -398,7 +398,7 @@ class TestBench:
         results = (tmp_path / "results.csv").read_text().splitlines()
         assert (
             results[0]
-            == "scenario,algorithm,r,trial,elapsed_s,iters,achieved,final_objective"
+            == "scenario,algorithm,r,trial,elapsed_s,iters,achieved,final_objective,error"
         )
         assert len(results) > 1
         assert (tmp_path / "summary.csv").exists()
@@ -419,6 +419,8 @@ class TestBench:
         assert len(by_trial["0"]) == len(by_trial["1"]) == 54
         assert all(x[4] == "nan" and x[5] == "0" for x in by_trial["0"])
         assert all(x[4] != "nan" and int(x[5]) >= 1 for x in by_trial["1"])
+        assert all(x[8] == '"column 13 is identically zero"' for x in by_trial["0"])
+        assert all(x[8] == "" for x in by_trial["1"])
         summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         assert all(ln.split(",")[3:5] == ["2", "1"] for ln in summary)
 
@@ -476,7 +478,14 @@ class TestBss:
         assert not out.exists()
 
 
-SUITE_NAMES = ("monotonicity", "majorization", "fixed-point", "psd-bound", "kkt-decrease")
+SUITE_NAMES = (
+    "monotonicity",
+    "majorization",
+    "fixed-point",
+    "psd-bound",
+    "kkt-decrease",
+    "acceleration",
+)
 
 
 def _perturbed_map(original):
@@ -525,6 +534,11 @@ SUITE_FAULTS = [
         id="majorization-nan",
     ),
     pytest.param("kkt-decrease", solvers, "solve", _returns_start, id="kkt-decrease"),
+    # Backtracking that never moves alpha toward -1 cannot restore descent.
+    pytest.param(
+        "acceleration", squarem, "_backtrack", lambda f: lambda alpha: alpha,
+        id="acceleration",
+    ),
 ]
 
 

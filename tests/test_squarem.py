@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from nmfkit import linalg, solvers, squarem
+from nmfkit import linalg, solvers, squarem, verify
 from nmfkit.solvers import (
     Algorithm,
     FactorPair,
@@ -17,7 +17,6 @@ from nmfkit.squarem import AccelState, squarem_step
 
 from _util import (
     MatmulCounter,
-    base_map,
     planted_instance,
     random_instance,
     traced_peak,
@@ -42,8 +41,7 @@ class TestSquaremStep:
         # which at a fixed point is the starting state.
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
-        assert accel.alpha_w == -1.0
-        assert accel.alpha_h == -1.0
+        assert accel.alpha == -1.0
 
     def test_scalar_mu_hand_trace(self):
         # One MU step on V=[[2]] from W=H=[[1]] lands on the exact fit
@@ -88,19 +86,9 @@ class TestSquaremStep:
         # accepted objectives never rise and never trail the plain trace.
         for i in range(5):
             V, start = random_instance(200 + i)
-            plain = [objective(V, start)]
-            s = start.copy()
-            for _ in range(100):
-                s, _ = parinom_iterate(V, s)
-                plain.append(objective(V, s))
-            s = start.copy()
-            f_prev = objective(V, s)
-            for k in range(1, 51):
-                s, _ = accelerate(V, s, parinom_iterate)
-                f = objective(V, s)
-                assert f <= f_prev + 1e-9 * max(1.0, f_prev)
-                assert f <= plain[2 * k] + 1e-9
-                f_prev = f
+            gaps = verify.acceleration_gaps(V, start, Algorithm.PARINOM, 50)
+            assert gaps.rise <= 0.0
+            assert gaps.lag <= 0.0
 
     def test_backtrack_count_recorded(self):
         total = 0
@@ -108,8 +96,7 @@ class TestSquaremStep:
             V, pair = random_instance(300 + i)
             _, accel = accelerate(V, pair, parinom_iterate)
             assert accel.backtracks >= 0
-            assert accel.alpha_w <= 0.0
-            assert accel.alpha_h <= 0.0
+            assert accel.alpha <= 0.0
             total += accel.backtracks
         # the extrapolation should be accepted outright at least sometimes
         assert total < 10 * 1000
@@ -119,31 +106,18 @@ class TestSquaremStep:
         # Any monotone map is a valid base: alpha = -1 reproduces its
         # two-step iterate bit for bit, and 10 accelerated steps never rise
         # and never end worse than 20 plain steps.
-        step = base_map(alg)
         for i in range(10):
             V, start = random_instance(320 + i)
-            x1, _ = step(V, start)
-            x2, _ = step(V, x1)
-            forced, _ = accelerate(V, start, step, force_alpha=-1.0)
-            assert np.array_equal(forced.W, x2.W)
-            assert np.array_equal(forced.H, x2.H)
-            plain = [objective(V, start)]
-            s = start.copy()
-            for _ in range(20):
-                s, _ = step(V, s)
-                plain.append(objective(V, s))
-            s, f_prev = start.copy(), plain[0]
-            for k in range(1, 11):
-                s, _ = accelerate(V, s, step)
-                f = objective(V, s)
-                assert f <= f_prev + 1e-9 * max(1.0, f_prev)
-                assert f <= plain[2 * k] + 1e-9
-                f_prev = f
+            gaps = verify.acceleration_gaps(V, start, alg, 10)
+            assert gaps.identity_exact
+            assert gaps.rise <= 0.0
+            assert gaps.lag <= 0.0
 
-    def test_degenerate_factor_is_pinned_while_the_other_extrapolates(self):
+    def test_one_alpha_lands_the_moving_factor_while_the_still_one_stays(self):
         # A base map that leaves W unchanged and moves H halfway to a planted
-        # H*: W's squared difference is zero, so alpha_w starts at -1, while
-        # H's alpha of -2 lands on H* in one extrapolation.
+        # H*: W's differences are zero, so the joint norms are H's and the one
+        # alpha is -2, which lands H on H* in one extrapolation and leaves W
+        # where it was.
         V, planted = planted_instance(5, n=6, m=8, r=2)
         H_star = planted.H
 
@@ -156,15 +130,55 @@ class TestSquaremStep:
         x1, _ = fake(V, x0)
         x2, _ = fake(V, x1)
         out, accel = accelerate(V, x0, fake)
-        assert accel.alpha_w == -1.0
-        assert accel.alpha_h != -1.0
+        assert abs(accel.alpha + 2.0) <= 1e-12
         assert accel.backtracks == 0
-        rh = x1.H - x0.H
-        vh = x2.H - x1.H - rh
-        W, H = normalize_pair(x2.W, squarem._extrapolate(x0.H, rh, vh, accel.alpha_h))
+        assert accel.alpha_w == accel.alpha_h == accel.alpha
+        rw, rh = x1.W - x0.W, x1.H - x0.H
+        vw, vh = x2.W - x1.W - rw, x2.H - x1.H - rh
+        W, H = normalize_pair(
+            squarem._extrapolate(x0.W, rw, vw, accel.alpha),
+            squarem._extrapolate(x0.H, rh, vh, accel.alpha),
+        )
         assert np.array_equal(out.W, W)
         assert np.array_equal(out.H, H)
+        assert np.abs(out.W - x0.W).max() <= 1e-15
+        assert np.abs(out.H - H_star).max() <= 1e-12
         assert objective(V, out) < objective(V, x2)
+
+    def test_both_factors_moving_share_one_alpha(self):
+        # W and H contract toward a planted pair at different rates, 1/2 and
+        # 3/4, so a per-factor step would pick -2 for W and -4 for H. The one
+        # alpha is -||r|| / ||v|| over the stacked pair, and the candidate is
+        # both factors extrapolated with it.
+        V, planted = planted_instance(6, n=6, m=8, r=2)
+
+        def fake(V, pair, *, v_sq=None, products=None):
+            out = FactorPair(
+                0.5 * pair.W + 0.5 * planted.W, 0.75 * pair.H + 0.25 * planted.H
+            )
+            info = {} if v_sq is None else {"objective": objective(V, out)}
+            return out, info
+
+        x0 = FactorPair(planted.W + 0.2, 1.5 * planted.H + 0.3)
+        x1, _ = fake(V, x0)
+        x2, _ = fake(V, x1)
+        out, accel = accelerate(V, x0, fake)
+        rw, rh = x1.W - x0.W, x1.H - x0.H
+        vw, vh = x2.W - x1.W - rw, x2.H - x1.H - rh
+
+        def norm(*blocks):
+            return np.sqrt(sum(np.vdot(b, b) for b in blocks))
+
+        assert accel.backtracks == 0
+        assert accel.alpha == pytest.approx(-norm(rw, rh) / norm(vw, vh), rel=1e-14)
+        assert abs(accel.alpha + 2.0) > 0.1 and abs(accel.alpha + 4.0) > 0.1
+        assert accel.alpha_w == accel.alpha_h == accel.alpha
+        W, H = normalize_pair(
+            squarem._extrapolate(x0.W, rw, vw, accel.alpha),
+            squarem._extrapolate(x0.H, rh, vh, accel.alpha),
+        )
+        assert np.array_equal(out.W, W)
+        assert np.array_equal(out.H, H)
 
     def test_halving_drives_alpha_to_minus_one(self):
         alpha = -7.3
