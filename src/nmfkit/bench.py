@@ -227,9 +227,8 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
             fail(trial, scenario.rank_values, exc)
             continue
         for r in scenario.rank_values:
-            seed = derive_seed(scenario.seed, trial, 1, r)
             try:
-                start = solvers.initial_factors(V, r, seed)
+                start = solvers.initial_factors(V, r, derive_seed(scenario.seed, trial, 1, r))
                 f0 = linalg.frobenius_residual(V, start.W, start.H)
                 target = TARGET_FRACTION * f0
             except NmfError as exc:
@@ -237,7 +236,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
                 continue
             for alg in scenario.algorithms:
                 try:
-                    config = SolverConfig(alg, rank=r, seed=seed, target=target)
+                    config = SolverConfig(alg, rank=r, target=target)
                     _, trace = solvers.solve(V, config, init=start)
                     row = TrialRow.from_trace(scenario.name, alg, r, trial, trace)
                 except NmfError as exc:
@@ -316,12 +315,11 @@ def sim1_run(scale: float = 1.0, seed: int = 0) -> Sim1Result:
     V = linalg.normalize_columns(
         generate_dense_uniform(n, m, 100.0, 200.0, derive_seed(seed, 0, 0))
     )
-    start_seed = derive_seed(seed, 0, 1, 1)
-    start = solvers.initial_factors(V, 1, start_seed)
+    start = solvers.initial_factors(V, 1, derive_seed(seed, 0, 1, 1))
     traces: dict[Algorithm, IterationTrace] = {}
     results = BenchResults()
     for alg in ALL_ALGORITHMS:
-        config = SolverConfig(alg, rank=1, seed=start_seed)
+        config = SolverConfig(alg, rank=1)
         _, trace = solvers.solve(V, config, init=start)
         traces[alg] = trace
         results.rows.append(TrialRow.from_trace("sim1", alg, 1, 0, trace))

@@ -268,9 +268,7 @@ def solve_bss(
         rng.uniform(100.0, 500.0, size=(datagen.BSS_NUM_SENSORS, rank))
     )
     H0 = rng.uniform(200.0, 400.0, size=(rank, scenario.num_samples))
-    config = SolverConfig(
-        algorithm=algorithm, rank=rank, tol=1e-8, max_iters=1000, seed=scenario.seed
-    )
+    config = SolverConfig(algorithm=algorithm, rank=rank, tol=1e-8, max_iters=1000)
     return solvers.solve(observed, config, init=FactorPair(W0, H0))
 
 

@@ -1,19 +1,15 @@
-"""Convergence and correctness instrumentation.
-
-Three kinds of checks live here:
+"""Convergence and correctness instrumentation: the mathematics only.
 
 * the first-order (KKT) stationarity residual ``min(X, grad_X f)`` for the
   nonnegativity-constrained misfit, which vanishes exactly at stationary
   points;
 * direct evaluators for the quadratic (INOM) and separable quarter-power /
-  logarithm (PARINOM) upper bounds, so tests and audits can confirm that
-  each bound touches the objective at the anchor point and dominates it
-  everywhere else;
-* :func:`audit_majorization`, which packages those checks into a pass/fail
-  report over random sample points. One loop serves every bound: the gap
-  at the anchor, then the worst ``f - g`` over the samples. The INOM W bound
-  is the H bound of the transposed problem, so the quadratic bound is
-  written once.
+  logarithm (PARINOM) upper bounds, so that ``verify.majorization_gaps``
+  and the tests can confirm that each bound touches the objective at the
+  anchor point and dominates it everywhere else. The INOM W bound is the H
+  bound of the transposed problem, so the quadratic bound is written once.
+
+Tolerances and verdicts live in ``verify``.
 """
 
 from __future__ import annotations
@@ -22,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, ShapeError
-from .solvers import Algorithm, FactorPair
+from .errors import ShapeError
 
-__all__ = ["kkt_residual", "audit_majorization"]
+__all__ = ["kkt_residual", "inom_h_surrogate", "inom_w_surrogate", "parinom_surrogate"]
 
 
 @dataclass(frozen=True)
@@ -122,117 +117,3 @@ def parinom_surrogate(V, W_ref, H_ref, W, H) -> float:
         + float(np.sum(WtV * H_ref * np.log(H / H_ref)))
     )
     return float(np.sum(V * V)) + positive + negative
-
-
-@dataclass(frozen=True)
-class SurrogateCheck:
-    name: str
-    equality_gap: float  # |g - f| / max(1, |f|) at the anchor
-    worst_domination: float  # max over samples of f - g
-    samples: int
-
-
-# Largest equality gap a bound may show at its anchor.
-EQUALITY_TOL = 1e-9
-# Largest f - g a bound may show at a sample point.
-DOMINATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MajorizationReport:
-    algorithm: Algorithm
-    checks: tuple[SurrogateCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            c.equality_gap <= EQUALITY_TOL and c.worst_domination <= DOMINATION_TOL
-            for c in self.checks
-        )
-
-    def to_text(self) -> str:
-        lines = [f"algorithm: {self.algorithm.value}", f"passed: {self.passed}"]
-        for c in self.checks:
-            lines.append(
-                f"{c.name}: equality_gap={c.equality_gap:.3e} "
-                f"worst_domination={c.worst_domination:.3e} samples={c.samples}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _check(name, f, g, anchor, draw, samples, f_here, denom) -> SurrogateCheck:
-    """Report on one bound ``g`` of the objective ``f``: the relative gap
-    ``|g(anchor) - f_here| / denom`` at the anchor, where ``f_here`` is
-    ``f(anchor)``, then the worst ``f - g`` over ``samples`` points drawn by
-    ``draw()``."""
-    gap = abs(g(anchor) - f_here) / denom
-    gaps = [f(p) - g(p) for p in (draw() for _ in range(samples))]
-    # numpy's max keeps a NaN gap, so it fails the audit; Python's max would
-    # drop it.
-    worst = float(np.max(gaps)) if gaps else 0.0
-    return SurrogateCheck(name, gap, worst, samples)
-
-
-def audit_majorization(
-    V,
-    state: FactorPair,
-    algorithm: Algorithm,
-    samples: int = 100,
-    seed: int = 0,
-) -> MajorizationReport:
-    """Check the algorithm's upper bound(s) at ``state`` and at random points.
-
-    At the anchor the bound must reproduce the objective (relative gap at most
-    ``EQUALITY_TOL``); at ``samples`` random perturbed points it must dominate
-    it (f - g at most ``DOMINATION_TOL``, and a NaN gap fails). Violations
-    are report content, never exceptions.
-    """
-    linalg.require_count(samples, "samples", 0)
-    linalg.require_count(seed, "seed", 0)
-    V = linalg.as_matrix(V, "V")
-    W, H = state.W, state.H
-    rng = np.random.default_rng(seed)
-    f_here = linalg.frobenius_residual(V, W, H)
-    denom = max(1.0, abs(f_here))
-    # Every sample point is a pair (W, H); a block bound keeps the other
-    # factor at the anchor's.
-    top_w = 2.0 * max(1.0, float(W.max()))
-    top_h = 2.0 * max(1.0, float(H.max()))
-
-    def f(p):
-        return linalg.frobenius_residual(V, *p)
-
-    if algorithm is Algorithm.INOM:
-        checks = (
-            _check(
-                "inom_h", f, lambda p: inom_h_surrogate(V, W, H, p[1]), (W, H),
-                lambda: (W, rng.uniform(0.0, top_h, size=H.shape)),
-                samples, f_here, denom,
-            ),
-            _check(
-                "inom_w", f, lambda p: inom_w_surrogate(V, W, H, p[0]), (W, H),
-                lambda: (rng.uniform(0.0, top_w, size=W.shape), H),
-                samples, f_here, denom,
-            ),
-        )
-    elif algorithm in (Algorithm.PARINOM, Algorithm.ACC_PARINOM):
-        if np.any(W <= 0.0) or np.any(H <= 0.0):
-            raise ContractViolationError(
-                "the PARINOM audit needs strictly positive factors"
-            )
-        checks = (
-            _check(
-                "parinom_joint", f, lambda p: parinom_surrogate(V, W, H, *p), (W, H),
-                lambda: (
-                    rng.uniform(1e-6, top_w, size=W.shape),
-                    rng.uniform(1e-6, top_h, size=H.shape),
-                ),
-                samples, f_here, denom,
-            ),
-        )
-    else:
-        raise ContractViolationError(
-            f"no majorization audit is defined for {algorithm.value}"
-        )
-
-    return MajorizationReport(algorithm=algorithm, checks=checks)

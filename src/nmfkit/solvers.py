@@ -75,6 +75,7 @@ __all__ = [
     "parinom_iterate",
     "mu_iterate",
     "fast_hals_iterate",
+    "base_map",
     "solve",
 ]
 
@@ -465,6 +466,12 @@ _ACCELERATED = {
 }
 
 
+def base_map(alg: Algorithm):
+    """The map ``solve`` steps with for ``alg``: its own for a base algorithm,
+    the wrapped one for a SQUAREM-accelerated one, looked up at call time."""
+    return globals()[BASE_MAPS[_ACCELERATED.get(alg, alg)]]
+
+
 def solve(
     V,
     config: SolverConfig,
@@ -548,7 +555,7 @@ def solve(
         state = init.copy()
 
     alg = config.algorithm
-    step = globals()[BASE_MAPS[_ACCELERATED.get(alg, alg)]]
+    step = base_map(alg)
     accelerated = alg in _ACCELERATED
     if accelerated:
         from . import squarem

@@ -10,11 +10,6 @@ from nmfkit import linalg, solvers
 from nmfkit.solvers import FactorPair, initial_factors
 
 
-def base_map(alg):
-    """The map ``solvers.solve`` calls for the base algorithm ``alg``."""
-    return getattr(solvers, solvers.BASE_MAPS[alg])
-
-
 def frobenius_oracle(V, W, H):
     """Triple-loop evaluation of ||V - W H||_F^2, independent of BLAS."""
     n, m = V.shape

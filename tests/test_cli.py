@@ -506,7 +506,7 @@ def _returns_start(original):
 
 def _nan_away_from_anchor(original):
     # Exact at the anchor, NaN at every other point: domination is unknown,
-    # so the audit must fail rather than drop the NaN gaps.
+    # so the measure must keep the NaN gaps rather than drop them.
     def surrogate(V, W, H_ref, H):
         return original(V, W, H_ref, H) if H is H_ref else float("nan")
 
@@ -532,6 +532,13 @@ SUITE_FAULTS = [
         "inom_h_surrogate",
         _nan_away_from_anchor,
         id="majorization-nan",
+    ),
+    pytest.param(
+        "majorization",
+        diagnostics,
+        "inom_w_surrogate",
+        lambda f: lambda *a: f(*a) + 1e-6,
+        id="majorization-w",
     ),
     pytest.param("kkt-decrease", solvers, "solve", _returns_start, id="kkt-decrease"),
     # Backtracking that never moves alpha toward -1 cannot restore descent.

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from nmfkit import linalg
+from nmfkit import diagnostics, linalg
 from nmfkit.diagnostics import (
     KktReport,
-    audit_majorization,
     inom_h_surrogate,
     inom_w_surrogate,
     kkt_residual,
@@ -12,6 +11,7 @@ from nmfkit.diagnostics import (
 )
 from nmfkit.errors import ContractViolationError, ShapeError
 from nmfkit.solvers import Algorithm, SolverConfig, solve
+from nmfkit.verify import MAJORIZATION_TOL, majorization_gaps
 
 from _util import planted_instance, random_instance
 
@@ -144,49 +144,66 @@ class TestSurrogates:
             assert parinom_surrogate(V, W, H, Ws, Hs) >= g_min - 1e-9
 
 
-class TestAuditMajorization:
+def _within_tol(gaps):
+    return all(gap <= MAJORIZATION_TOL for gap in gaps)
+
+
+class TestMajorizationGaps:
     def test_zero_samples_equality_only(self):
         V, pair = random_instance(900)
         for alg in (Algorithm.INOM, Algorithm.PARINOM):
-            report = audit_majorization(V, pair, alg, samples=0)
-            assert report.passed
-            for check in report.checks:
-                assert check.samples == 0
+            gaps = majorization_gaps(V, pair, alg, samples=0)
+            assert _within_tol(gaps)
+            assert gaps.domination == 0.0
 
     def test_inom_hundred_samples_no_violations(self):
         V, pair = random_instance(901, n=4, m=6, r=2)
-        report = audit_majorization(V, pair, Algorithm.INOM, samples=100, seed=1)
-        assert report.passed
-        assert {c.name for c in report.checks} == {"inom_h", "inom_w"}
+        gaps = majorization_gaps(V, pair, Algorithm.INOM, samples=100, seed=1)
+        assert _within_tol(gaps)
 
-    def test_parinom_audit_passes(self):
+    def test_parinom_gaps_within_tol(self):
         V, pair = random_instance(902)
-        report = audit_majorization(V, pair, Algorithm.PARINOM, samples=100, seed=2)
-        assert report.passed
+        gaps = majorization_gaps(V, pair, Algorithm.PARINOM, samples=100, seed=2)
+        assert _within_tol(gaps)
 
     def test_unsupported_algorithm_rejected(self):
+        # ACC_PARINOM steps with the PARINOM map but has no bound of its own.
         V, pair = random_instance(903)
-        with pytest.raises(ContractViolationError):
-            audit_majorization(V, pair, Algorithm.MU)
+        for alg in (Algorithm.MU, Algorithm.ACC_PARINOM):
+            with pytest.raises(ContractViolationError, match="no majorization bound"):
+                majorization_gaps(V, pair, alg, samples=1)
 
-    def test_audit_holds_along_solve_iterates(self):
-        # Spot-check every 10th iterate visited by solve() for both audited
-        # algorithms.
+    def test_parinom_needs_strictly_positive_factors(self):
+        V, pair = random_instance(903)
+        pair.H[0, 0] = 0.0
+        with pytest.raises(ContractViolationError, match="strictly positive"):
+            majorization_gaps(V, pair, Algorithm.PARINOM, samples=1)
+
+    def test_nan_gap_is_kept(self, monkeypatch):
+        # NaN away from the anchor in the second of INOM's two bounds.
+        original = diagnostics.inom_w_surrogate
+
+        def nan_away(V, W_ref, H, W):
+            return original(V, W_ref, H, W) if W is W_ref else float("nan")
+
+        monkeypatch.setattr(diagnostics, "inom_w_surrogate", nan_away)
+        V, pair = random_instance(905)
+        gaps = majorization_gaps(V, pair, Algorithm.INOM, samples=3)
+        assert np.isnan(gaps.domination)
+        assert gaps.anchor <= MAJORIZATION_TOL
+
+    def test_gaps_hold_along_solve_iterates(self):
+        # Spot-check every 10th iterate visited by solve() for both
+        # algorithms with a bound of their own.
         for alg in (Algorithm.INOM, Algorithm.PARINOM):
             V, _ = random_instance(904, n=8, m=9, r=2)
             seen = []
 
             def spot_check(k, state, _V=V, _alg=alg):
                 if k % 10 == 0:
-                    report = audit_majorization(_V, state, _alg, samples=10, seed=k)
-                    seen.append(report.passed)
+                    gaps = majorization_gaps(_V, state, _alg, samples=10, seed=k)
+                    seen.append(_within_tol(gaps))
 
             config = SolverConfig(algorithm=alg, rank=2, tol=1e-12, max_iters=60, seed=3)
             solve(V, config, callback=spot_check)
             assert seen and all(seen)
-
-    def test_report_text(self):
-        V, pair = random_instance(905)
-        report = audit_majorization(V, pair, Algorithm.INOM, samples=5)
-        text = report.to_text()
-        assert "passed: True" in text

@@ -15,6 +15,7 @@ from nmfkit.solvers import (
     Algorithm,
     FactorPair,
     SolverConfig,
+    base_map,
     fast_hals_iterate,
     initial_factors,
     inom_iterate,
@@ -28,7 +29,6 @@ from nmfkit.solvers import (
 
 from _util import (
     MatmulCounter,
-    base_map,
     hals_sweep_oracle,
     planted_instance,
     random_instance,
