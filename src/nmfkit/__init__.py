@@ -6,12 +6,8 @@ from .errors import (
     ContractViolationError,
     CsvFormatError,
     DegenerateColumnError,
-    DegenerateComponentError,
-    DegenerateFactorError,
     NmfError,
     NumericalFailureError,
-    PositivityError,
-    ShapeError,
 )
 from .linalg import read_matrix_csv, write_matrix_csv
 from .solvers import (
@@ -34,14 +30,10 @@ __all__ = [
     "ContractViolationError",
     "CsvFormatError",
     "DegenerateColumnError",
-    "DegenerateComponentError",
-    "DegenerateFactorError",
     "FactorPair",
     "IterationTrace",
     "NmfError",
     "NumericalFailureError",
-    "PositivityError",
-    "ShapeError",
     "SolverConfig",
     "fast_hals_iterate",
     "inom_iterate",

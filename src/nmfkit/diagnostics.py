@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ShapeError
+from .errors import ContractViolationError
 
 __all__ = ["kkt_residual", "inom_h_surrogate", "inom_w_surrogate", "parinom_surrogate"]
 
@@ -62,7 +62,7 @@ def kkt_residual(V, W, H) -> KktReport:
     W = linalg.as_matrix(W, "W")
     H = linalg.as_matrix(H, "H")
     if W.shape[0] != V.shape[0] or H.shape[1] != V.shape[1] or W.shape[1] != H.shape[0]:
-        raise ShapeError(
+        raise ContractViolationError(
             f"cannot form residuals from V {V.shape}, W {W.shape}, H {H.shape}"
         )
     GW, GH = nmf_gradients(V, W, H)

@@ -1,19 +1,21 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: one family per CLI exit code.
+
+A :class:`ContractViolationError` refuses an argument before any work is
+done (exit code 1); a :class:`NumericalFailureError` reports an iteration
+that broke down on valid input (exit code 2).
+"""
 
 
 class NmfError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ShapeError(NmfError):
-    """Operand shapes do not conform for the requested operation."""
-
-
 class ContractViolationError(NmfError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition: its shape, type,
+    range or entries. The CLI reports it as an invalid request (exit 1)."""
 
 
-class DegenerateColumnError(NmfError):
+class DegenerateColumnError(ContractViolationError):
     """A column that must be normalizable is identically zero."""
 
     def __init__(self, column: int, message: str | None = None):
@@ -21,24 +23,10 @@ class DegenerateColumnError(NmfError):
         super().__init__(message or f"column {column} is identically zero")
 
 
-class DegenerateFactorError(NmfError):
-    """A factor matrix collapsed to zero, so no step size exists."""
-
-
-class DegenerateComponentError(NmfError):
-    """A single component (column of W / row of H) died during a sweep."""
-
-    def __init__(self, component: int, message: str | None = None):
-        self.component = component
-        super().__init__(message or f"component {component} is degenerate")
-
-
-class PositivityError(NmfError):
-    """A denominator that must stay strictly positive reached zero."""
-
-
 class NumericalFailureError(NmfError):
-    """The objective became non-finite or an internal loop diverged."""
+    """An iteration broke down on valid input: a factor, a component or a
+    ratio denominator reached zero, or the objective stopped being finite.
+    The CLI reports it as a numerical failure (exit 2)."""
 
     def __init__(self, message: str, iteration: int | None = None):
         self.iteration = iteration
@@ -46,7 +34,8 @@ class NumericalFailureError(NmfError):
 
 
 class CsvFormatError(NmfError):
-    """A matrix CSV file could not be parsed."""
+    """A matrix CSV file could not be parsed. The CLI reports it as an input
+    error (exit 1)."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -13,12 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    CsvFormatError,
-    DegenerateColumnError,
-    ShapeError,
-)
+from .errors import ContractViolationError, CsvFormatError, DegenerateColumnError
 
 __all__ = [
     "as_matrix",
@@ -41,9 +36,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a non-empty 2-D float64 array."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got {arr.ndim}-D")
+        raise ContractViolationError(f"{name} must be 2-D, got {arr.ndim}-D")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ShapeError(f"{name} must be non-empty, got shape {arr.shape}")
+        raise ContractViolationError(f"{name} must be non-empty, got shape {arr.shape}")
     return arr
 
 
@@ -131,7 +126,7 @@ def frobenius_residual(V, W, H) -> float:
     H = as_matrix(H, "H")
     n, m = V.shape
     if W.shape[0] != n or H.shape[1] != m or W.shape[1] != H.shape[0]:
-        raise ShapeError(
+        raise ContractViolationError(
             f"cannot form V - W H from V {V.shape}, W {W.shape}, H {H.shape}"
         )
     rows = max(1, BLOCK_ENTRIES // m)

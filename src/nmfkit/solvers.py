@@ -53,13 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ContractViolationError,
-    DegenerateComponentError,
-    DegenerateFactorError,
-    NumericalFailureError,
-    PositivityError,
-)
+from .errors import ContractViolationError, NumericalFailureError
 
 __all__ = [
     "Algorithm",
@@ -67,6 +61,7 @@ __all__ = [
     "FactorPair",
     "TraceRecord",
     "IterationTrace",
+    "objective_rise",
     "normalize_pair",
     "initial_factors",
     "inom_update_h",
@@ -214,9 +209,7 @@ class IterationTrace:
 
     def is_monotone(self) -> bool:
         """True when f never rises by more than ``MONOTONE_SLACK * max(1, f)``."""
-        f = self.objectives
-        rise = MONOTONE_SLACK * np.maximum(1.0, f[:-1])
-        return bool(np.all(f[1:] <= f[:-1] + rise))
+        return objective_rise(self.objectives) <= 0.0
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -225,13 +218,23 @@ class IterationTrace:
                 fh.write(f"{r.iteration},{r.objective!r},{r.elapsed_s!r}\n")
 
 
+def objective_rise(f) -> float:
+    """Largest rise ``f[k+1] - f[k]`` of an objective sequence beyond
+    ``MONOTONE_SLACK * max(1, f[k])``: at most 0 when the sequence descends,
+    -inf for fewer than two values, and NaN when any value is NaN."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.size < 2:
+        return -np.inf
+    return float(np.max(f[1:] - f[:-1] - MONOTONE_SLACK * np.maximum(1.0, f[:-1])))
+
+
 def _nonzero_column_norms(W: np.ndarray) -> np.ndarray:
-    """Column norms of W; raises :class:`DegenerateFactorError` when one is
+    """Column norms of W; raises :class:`NumericalFailureError` when one is
     zero."""
     norms = linalg.column_norms(W)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DegenerateFactorError(
+        raise NumericalFailureError(
             f"column {int(zero[0])} of W collapsed to zero during the iteration"
         )
     return norms
@@ -241,7 +244,7 @@ def normalize_pair(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Unit-normalize the columns of W and move their scales into the rows of
     H, which leaves the product W H unchanged. W and H are not written.
 
-    Raises :class:`DegenerateFactorError` when a column of W is zero.
+    Raises :class:`NumericalFailureError` when a column of W is zero.
     """
     norms = _nonzero_column_norms(W)
     return W / norms, H * norms[:, None]
@@ -309,7 +312,7 @@ def _projected_step(cross, GX, X, G, fixed, block):
     W`` and ``GX = G H``; ``GX`` is the caller's fresh product, overwritten."""
     mu = linalg.max_row_sum(2.0 * G)
     if mu == 0.0:
-        raise DegenerateFactorError(
+        raise NumericalFailureError(
             f"{fixed} is identically zero; no {block} step size exists"
         )
     out = np.multiply(2.0, cross)
@@ -325,12 +328,12 @@ def _ratio_step(numerator, denominator, X, what, *, quarter=False):
     written into ``denominator``, which the caller has just formed and hands
     over; ``numerator`` and ``X`` are only read.
 
-    Raises :class:`PositivityError` when the denominator has a zero entry. It
-    is a product of nonnegative factors, so its minimum is zero exactly when
-    some entry is.
+    Raises :class:`NumericalFailureError` when the denominator has a zero
+    entry. It is a product of nonnegative factors, so its minimum is zero
+    exactly when some entry is.
     """
     if denominator.min() == 0.0:
-        raise PositivityError(
+        raise NumericalFailureError(
             f"zero denominator entry in the {what} update; factors must stay "
             "strictly positive"
         )
@@ -424,7 +427,7 @@ def _hals_sweep(X, P, Q, *, unit):
     and ``Q = W^T W``; W's sweep runs on the view ``W.T``."""
     for j in range(X.shape[0]):
         if Q[j, j] == 0.0:
-            raise DegenerateComponentError(j, f"zero Gram diagonal for component {j}")
+            raise NumericalFailureError(f"zero Gram diagonal for component {j}")
         x = np.maximum(POSITIVITY_FLOOR, X[j] + (P[:, j] - X.T @ Q[:, j]) / Q[j, j])
         X[j] = x / math.sqrt(float(x @ x)) if unit else x
 
@@ -497,8 +500,9 @@ def solve(
         Algorithm, rank, stopping rule and seed.
     init : FactorPair, optional
         Starting factors, shapes (n, rank) and (rank, m), entrywise finite
-        and nonnegative; they are copied and become iterate 0. When omitted the
-        seeded uniform start of :func:`initial_factors` is used.
+        and nonnegative; they are coerced to float64 as V is, copied, and
+        become iterate 0. When omitted the seeded uniform start of
+        :func:`initial_factors` is used.
     callback : callable, optional
         Invoked as ``callback(iteration, pair)`` after each full iteration.
         It observes only: ``pair`` is a separate :class:`FactorPair` of the
@@ -545,14 +549,17 @@ def solve(
     if init is None:
         state = initial_factors(V, config.rank, config.seed)
     else:
-        if init.W.shape != (n, config.rank) or init.H.shape != (config.rank, m):
+        state = FactorPair(
+            linalg.as_matrix(init.W, "init W"), linalg.as_matrix(init.H, "init H")
+        )
+        if state.W.shape != (n, config.rank) or state.H.shape != (config.rank, m):
             raise ContractViolationError(
-                f"init shapes {init.W.shape}/{init.H.shape} do not match "
+                f"init shapes {state.W.shape}/{state.H.shape} do not match "
                 f"({n}, {config.rank})/({config.rank}, {m})"
             )
-        linalg.require_nonnegative(init.W, "init W")
-        linalg.require_nonnegative(init.H, "init H")
-        state = init.copy()
+        linalg.require_nonnegative(state.W, "init W")
+        linalg.require_nonnegative(state.H, "init H")
+        state = state.copy()
 
     alg = config.algorithm
     step = base_map(alg)

@@ -24,7 +24,7 @@ import numpy as np
 from . import diagnostics, linalg, solvers, squarem
 from .datagen import derive_seed
 from .errors import ContractViolationError, NmfError
-from .solvers import MONOTONE_SLACK, Algorithm, FactorPair, SolverConfig
+from .solvers import Algorithm, FactorPair, SolverConfig, objective_rise
 
 __all__ = [
     "SuiteResult",
@@ -73,8 +73,8 @@ class SuiteResult:
 
 def monotone_rise(V, config: SolverConfig) -> float:
     """Largest rise of the objective between consecutive iterates of one
-    solve, beyond ``MONOTONE_SLACK * max(1, f)``; at most 0 when the solve
-    descends.
+    solve, as :func:`solvers.objective_rise` measures it; at most 0 when the
+    solve descends.
 
     Both the trace objectives and the exact residual of every iterate are
     checked, so a wrong Gram-form objective cannot hide an ascent.
@@ -85,11 +85,8 @@ def monotone_rise(V, config: SolverConfig) -> float:
         exact.append(linalg.frobenius_residual(V, state.W, state.H))
 
     _, trace = solvers.solve(V, config, callback=record)
-    rises = [
-        f[1:] - f[:-1] - MONOTONE_SLACK * np.maximum(1.0, f[:-1])
-        for f in (trace.objectives, np.array([trace.objectives[0], *exact]))
-    ]
-    return float(np.max(np.concatenate(rises)))
+    f = trace.objectives
+    return float(np.max([objective_rise(f), objective_rise([f[0], *exact])]))
 
 
 class MajorizationGaps(NamedTuple):
@@ -191,14 +188,15 @@ def acceleration_gaps(
     """SQUAREM around the base map of ``alg`` (a key of
     ``solvers.BASE_MAPS``) from ``start``, checked three ways:
     ``identity_exact`` tells whether alpha = -1 gives the two-step iterate
-    bit for bit; ``rise`` is the largest objective rise over ``steps``
-    accepted steps beyond ``MONOTONE_SLACK * max(1, f)``; and ``lag`` is the
-    largest amount by which the objective after k accelerated steps exceeds
-    the one after 2k plain steps, beyond ``DOMINANCE_SLACK``. ``rise`` and
-    ``lag`` are at most 0 when the invariants hold. Every objective is the
-    exact residual of its iterate, so a wrong Gram-form value in the step
-    cannot hide a violation.
+    bit for bit; ``rise`` is :func:`solvers.objective_rise` over ``steps``
+    accepted steps (an integer of at least 1); and ``lag`` is the largest
+    amount by which the objective after k accelerated steps exceeds the one
+    after 2k plain steps, beyond ``DOMINANCE_SLACK``. ``rise`` and ``lag`` are
+    at most 0 when the invariants hold, and NaN when an objective is. Every
+    objective is the exact residual of its iterate, so a wrong Gram-form
+    value in the step cannot hide a violation.
     """
+    linalg.require_count(steps, "steps", 1)
     step = solvers.base_map(alg)
     v_sq = float(np.vdot(V, V))
 
@@ -217,15 +215,13 @@ def acceleration_gaps(
     for _ in range(2 * steps):
         s, _ = step(V, s)
         plain.append(objective(s))
-    s, f_prev = start.copy(), plain[0]
-    rise = lag = -np.inf
-    for k in range(1, steps + 1):
-        s, _ = squarem.squarem_step(V, s, step, f0=f_prev, v_sq=v_sq)
-        f = objective(s)
-        rise = max(rise, f - f_prev - MONOTONE_SLACK * max(1.0, f_prev))
-        lag = max(lag, f - plain[2 * k] - DOMINANCE_SLACK)
-        f_prev = f
-    return AccelerationGaps(bool(exact), float(rise), float(lag))
+    s, accel = start.copy(), [plain[0]]
+    for _ in range(steps):
+        s, _ = squarem.squarem_step(V, s, step, f0=accel[-1], v_sq=v_sq)
+        accel.append(objective(s))
+    # numpy's max keeps a NaN objective; Python's max would drop it.
+    lag = np.max(np.subtract(accel[1:], plain[2::2]) - DOMINANCE_SLACK)
+    return AccelerationGaps(bool(exact), objective_rise(accel), float(lag))
 
 
 def _random_instance(seed: int, n: int = 12, m: int = 15, r: int = 3):

@@ -116,8 +116,8 @@ def test_criterion_07_squarem_identity_and_dominance():
         for alg in solvers.BASE_MAPS
     ]
     exact = all(g.identity_exact for g in gaps)
-    worst_rise = max(g.rise for g in gaps)
-    worst_gap = max(g.lag for g in gaps)
+    worst_rise = float(np.max([g.rise for g in gaps]))
+    worst_gap = float(np.max([g.lag for g in gaps]))
     _report(
         7,
         exact and worst_rise <= 0.0 and worst_gap <= 0.0,

@@ -8,6 +8,13 @@ import pytest
 from nmfkit import cli, datagen, diagnostics, linalg, solvers, squarem
 from nmfkit.solvers import FactorPair
 from nmfkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from nmfkit.errors import (
+    ContractViolationError,
+    CsvFormatError,
+    DegenerateColumnError,
+    NmfError,
+    NumericalFailureError,
+)
 
 from _util import planted_instance, traced_peak
 
@@ -232,16 +239,37 @@ class TestFactorize:
         )
         assert code == EXIT_OK
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        from nmfkit.errors import NumericalFailureError
-
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ContractViolationError("bad"), EXIT_USAGE, "invalid request"),
+            (DegenerateColumnError(3), EXIT_USAGE, "invalid request"),
+            (CsvFormatError("bad", line=2), EXIT_USAGE, "input error"),
+            (OSError("bad"), EXIT_USAGE, "input error"),
+            (MemoryError("bad"), EXIT_USAGE, "invalid request"),
+            (NumericalFailureError("blow-up", 3), EXIT_NUMERICAL, "numerical failure"),
+            (NmfError("bad"), EXIT_NUMERICAL, "numerical failure"),
+        ],
+        ids=[
+            "ContractViolationError",
+            "DegenerateColumnError",
+            "CsvFormatError",
+            "OSError",
+            "MemoryError",
+            "NumericalFailureError",
+            "NmfError",
+        ],
+    )
+    def test_error_family_sets_exit_code(
+        self, tmp_path, monkeypatch, capsys, error, code, prefix
+    ):
         def boom(V, config, init=None, callback=None):
-            raise NumericalFailureError("synthetic blow-up", iteration=3)
+            raise error
 
         monkeypatch.setattr(cli.solvers, "solve", boom)
         inp = write_csv(tmp_path / "v.csv", np.ones((2, 2)))
-        code = main(["factorize", inp, "--rank", "1"])
-        assert code == EXIT_NUMERICAL
+        assert main(["factorize", inp, "--rank", "1"]) == code
+        assert capsys.readouterr().err.startswith(f"nmfkit: {prefix}: ")
 
 
 class TestFactorizeMemory:

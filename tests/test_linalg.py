@@ -9,7 +9,6 @@ from nmfkit.errors import (
     ContractViolationError,
     CsvFormatError,
     DegenerateColumnError,
-    ShapeError,
 )
 
 from _util import frobenius_oracle, traced_peak
@@ -51,7 +50,9 @@ class TestFrobeniusResidual:
         V = np.ones((3, 4))
         W = np.ones((3, 2))
         H = np.ones((3, 4))
-        with pytest.raises(ShapeError, match=r"V \(3, 4\), W \(3, 2\), H \(3, 4\)"):
+        with pytest.raises(
+            ContractViolationError, match=r"V \(3, 4\), W \(3, 2\), H \(3, 4\)"
+        ):
             linalg.frobenius_residual(V, W, H)
 
     def test_one_buffer_and_bitwise_value(self):
@@ -148,6 +149,7 @@ class TestNormalizeColumns:
         with pytest.raises(DegenerateColumnError) as err:
             linalg.normalize_columns(M)
         assert err.value.column == 1
+        assert issubclass(DegenerateColumnError, ContractViolationError)
 
 
 _V = np.ones((6, 8))
@@ -174,6 +176,10 @@ class TestRequireCount:
             ("seed", lambda: solvers.initial_factors(_V, 2, -3)),
             ("rank", lambda: solvers.initial_factors(_V, np.float64(2), 0)),
             ("samples", lambda: verify.majorization_gaps(_V, _PAIR, _INOM, -2)),
+            ("steps", lambda: verify.acceleration_gaps(_V, _PAIR, _INOM, 0)),
+            ("steps", lambda: verify.acceleration_gaps(_V, _PAIR, _INOM, -1)),
+            ("steps", lambda: verify.acceleration_gaps(_V, _PAIR, _INOM, 2.5)),
+            ("steps", lambda: verify.acceleration_gaps(_V, _PAIR, _INOM, True)),
         ],
     )
     def test_bad_count_refused_where_it_enters(self, field, build):

@@ -113,6 +113,23 @@ class TestSquaremStep:
             assert gaps.rise <= 0.0
             assert gaps.lag <= 0.0
 
+    def test_nan_iterate_fails_the_measure(self, monkeypatch):
+        # A base map whose output turns NaN after its 8th call: the NaN
+        # objectives must surface in rise and lag, not be dropped by a max.
+        real, calls = solvers.mu_iterate, []
+
+        def broken(V, pair, **kw):
+            out, info = real(V, pair, **kw)
+            calls.append(None)
+            if len(calls) > 8:
+                out = FactorPair(out.W * np.nan, out.H * np.nan)
+            return out, info
+
+        monkeypatch.setattr(solvers, "mu_iterate", broken)
+        V, start = random_instance(340)
+        gaps = verify.acceleration_gaps(V, start, Algorithm.MU, 5)
+        assert np.isnan(gaps.rise) and np.isnan(gaps.lag)
+
     def test_one_alpha_lands_the_moving_factor_while_the_still_one_stays(self):
         # A base map that leaves W unchanged and moves H halfway to a planted
         # H*: W's differences are zero, so the joint norms are H's and the one
