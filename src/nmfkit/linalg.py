@@ -33,8 +33,32 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a non-empty 2-D float64 array."""
-    arr = np.asarray(a, dtype=np.float64)
+    """Coerce ``a`` to a non-empty 2-D float64 array.
+
+    A float64 array is returned without a pass over its entries. Boolean,
+    integer and floating input is converted, and so is an object array
+    whose entries convert to float. Anything else raises
+    :class:`ContractViolationError` naming ``a``: a ragged nesting, a string
+    or other non-numeric entry, and a complex value, whose imaginary part a
+    conversion would drop.
+    """
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:
+        raise ContractViolationError(
+            f"{name} must be a rectangular array of real numbers: {exc}"
+        ) from None
+    if arr.dtype != np.float64:
+        if arr.dtype.kind not in "biufO":
+            raise ContractViolationError(
+                f"{name} must hold real numbers, got dtype {arr.dtype}"
+            )
+        try:
+            arr = arr.astype(np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractViolationError(
+                f"{name} must hold real numbers: {exc}"
+            ) from None
     if arr.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-D, got {arr.ndim}-D")
     if arr.shape[0] == 0 or arr.shape[1] == 0:

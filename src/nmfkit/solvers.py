@@ -29,14 +29,24 @@ products=None) -> (pair, info)``. Given ``v_sq = ||V||_F**2``,
 (:func:`linalg.gram_objective`) from products the step has already computed;
 without it the objective is not evaluated.
 
-The products carry: PARINOM's objective forms ``(W^T V, W^T W, H H^T)``
-of the pair it returns (:func:`linalg.pair_objective`), and its step needs
-the same three of the incoming pair. It hands them on as
-``info["products"]``, and the next call, given them as ``products=``, does
-not form them again. :func:`solve` threads them from one call to the next.
-``products=None`` means "form them here", so a pair built or changed by
-hand never meets stale products. INOM, MU and Fast-HALS accept the keyword,
-ignore it and hand on no products.
+The products carry: each product is formed once across consecutive calls.
+``products`` is ``(W^T V, W^T W, H H^T)`` of a pair, with None for an entry
+the map did not form. With ``v_sq`` a map hands on, as
+``info["products"]``, the products of the pair it returns that its
+objective formed, and the same map's next call, given them as
+``products=``, reads the ones its step needs instead of forming them
+again. :func:`solve` threads them from one call to the next. A map hands on
+only entries formed by the same expression the consumer would use, so a
+carried run and an uncarried run are bitwise equal. ``products=None`` means
+"form them here", so a pair built or changed by hand never meets stale
+products.
+
+  * PARINOM hands on all three (:func:`linalg.pair_objective`) and its step
+    reads all three;
+  * MU hands on ``(None, None, H H^T)`` and its W step reads ``H H^T``;
+  * Fast-HALS hands on ``(None, W^T W, H H^T)`` and its H sweep reads
+    ``W^T W``;
+  * INOM hands on none and ignores the keyword.
 
 The multiplicative maps and Fast-HALS floor their entries at the fixed
 constant :data:`POSITIVITY_FLOOR`.
@@ -309,17 +319,22 @@ def _projected_step(cross, GX, X, G, fixed, block):
     """``max(0, X + (2 cross - 2 GX) / mu)`` and ``mu``, the largest row sum of
     ``2 G``, which dominates the block Hessian, so the step minimizes the
     quadratic upper bound anchored at X. For H, ``cross = W^T V``, ``G = W^T
-    W`` and ``GX = G H``; ``GX`` is the caller's fresh product, overwritten."""
-    mu = linalg.max_row_sum(2.0 * G)
-    if mu == 0.0:
+    W`` and ``GX = G H``; ``GX`` is the caller's fresh product, overwritten
+    with the step, and ``cross`` is only read.
+
+    The step is formed as ``(cross - GX) / s`` with ``s`` the largest row sum
+    of ``G`` and ``mu = 2 s``. Doubling a float64 is exact short of overflow,
+    so this is the same double as the written-out quotient, without two
+    passes that double the products."""
+    half = linalg.max_row_sum(G)
+    if half == 0.0:
         raise NumericalFailureError(
             f"{fixed} is identically zero; no {block} step size exists"
         )
-    out = np.multiply(2.0, cross)
-    out -= np.multiply(2.0, GX, out=GX)
-    out /= mu
+    out = np.subtract(cross, GX, out=GX)
+    out /= half
     np.add(X, out, out=out)
-    return np.maximum(0.0, out, out=out), mu
+    return np.maximum(0.0, out, out=out), 2.0 * half
 
 
 def _ratio_step(numerator, denominator, X, what, *, quarter=False):
@@ -403,21 +418,32 @@ def mu_iterate(
     denominator, which keeps exact factorizations fixed points of the map.
     Each update is PARINOM's floored ratio step without the quarter power,
     written into its own denominator. W is renormalized (scales moved into
-    H) after the pair of updates. With ``v_sq`` the objective reuses the H
-    step's ``W'^T V`` and ``W'^T W'``.
-    ``products`` is ignored and none are returned.
+    H) after the pair of updates. The W step reads ``H H^T`` from
+    ``products[2]`` when it is given.
+
+    With ``v_sq`` the objective reuses the H step's ``W'^T V``, rescales its
+    ``W'^T W'`` by the column norms (O(r^2)) and forms ``H H^T`` of the
+    returned H, which ``info["products"]`` hands on as ``(None, None,
+    H H^T)``: the next call's W step then forms no Gram matrix of H.
     """
     W, H = state.W, state.H
-    Wn = _ratio_step(V @ H.T, W @ (H @ H.T), W, "MU W")
+    HHt = H @ H.T if products is None or products[2] is None else products[2]
+    products = None  # drop the incoming products before forming the new ones
+    Wn = _ratio_step(V @ H.T, W @ HHt, W, "MU W")
     WtW = Wn.T @ Wn
     WtV = Wn.T @ V
     Hn = _ratio_step(WtV, WtW @ H, H, "MU H")
-    pair = FactorPair(*normalize_pair(Wn, Hn))
+    # normalize_pair, keeping the norms for the objective's W'^T W'.
+    norms = _nonzero_column_norms(Wn)
+    pair = FactorPair(Wn / norms, Hn * norms[:, None])
     if v_sq is None:
         return pair, {}
     cross = float(np.vdot(WtV, Hn))
-    f = linalg.gram_objective(V, pair.W, pair.H, v_sq, cross, WtW, Hn @ Hn.T)
-    return pair, {"objective": f}
+    HHt = pair.H @ pair.H.T
+    f = linalg.gram_objective(
+        V, pair.W, pair.H, v_sq, cross, WtW / np.outer(norms, norms), HHt
+    )
+    return pair, {"objective": f, "products": (None, None, HHt)}
 
 
 def _hals_sweep(X, P, Q, *, unit):
@@ -437,20 +463,24 @@ def fast_hals_iterate(
 ) -> tuple[FactorPair, dict]:
     """One Fast-HALS sweep: :func:`_hals_sweep` over the rows of H, then over
     the columns of W, each one's exact nonnegative minimizer (for W, on the
-    unit sphere). With ``v_sq`` the objective reuses the W sweep's ``V H^T``
-    and ``H H^T`` and forms the final ``W^T W``. ``products`` is ignored and
-    none are returned."""
+    unit sphere). The H sweep reads ``W^T W`` from ``products[1]`` when it is
+    given. With ``v_sq`` the objective reuses the W sweep's ``V H^T`` and
+    ``H H^T`` and forms the final ``W^T W``; ``info["products"]`` hands on
+    ``(None, W^T W, H H^T)``."""
     W = state.W.copy()
     H = state.H.copy()
-    _hals_sweep(H, V.T @ W, W.T @ W, unit=False)
+    WtW = W.T @ W if products is None or products[1] is None else products[1]
+    products = None  # drop the incoming products before forming the new ones
+    _hals_sweep(H, V.T @ W, WtW, unit=False)
     R = V @ H.T
     S = H @ H.T
     _hals_sweep(W.T, R, S, unit=True)
     pair = FactorPair(W, H)
     if v_sq is None:
         return pair, {}
-    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(R, W)), W.T @ W, S)
-    return pair, {"objective": f}
+    WtW = W.T @ W
+    f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(R, W)), WtW, S)
+    return pair, {"objective": f, "products": (None, WtW, S)}
 
 
 # The attribute of this module holding each base algorithm's map. It is read

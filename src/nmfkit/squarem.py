@@ -18,10 +18,14 @@ product is ``W^T V``. No step builds the n x m residual, except where the
 Gram form falls back to the exact value near a perfect fit. The accepted
 candidate's value and products are returned in :class:`AccelState`, and
 the next step hands those products to its first base application, which
-reads them when it is PARINOM. An accelerated PARINOM step so forms 5 + b
-O(nmr) products, where b is the backtrack count: one in the first base
+reads the ones its step needs: all three for PARINOM, ``H H^T`` for MU and
+``W^T W`` for Fast-HALS. An accelerated PARINOM step so forms 5 + b O(nmr)
+products, where b is the backtrack count: one in the first base
 application, three in the second (its objective included) and one per
-extrapolated candidate.
+extrapolated candidate. An accelerated MU step forms one Gram matrix of H,
+an O(r^2 m) product, fewer than two uncarried MU calls: its first base
+application reads the ``H H^T`` that the previous step's accepted pair
+carries.
 """
 
 from __future__ import annotations
@@ -54,9 +58,10 @@ class AccelState:
     """Outcome of one accelerated step. ``alpha`` is the accepted step length
     of the pair, -1 for the two-step iterate. ``objective`` is that of the
     pair :func:`squarem_step` returns with it, and ``products`` that pair's
-    ``(W^T V, W^T W, H H^T)`` for the next step's ``products=``, or None
-    when the accepted pair is the two-step iterate of a map other than
-    PARINOM, the one map that hands on products."""
+    ``(W^T V, W^T W, H H^T)`` for the next step's ``products=``. When the
+    accepted pair is the two-step iterate they are what the base map handed
+    on with it: None in each entry it did not form, or None in place of the
+    tuple for a map that hands on none."""
 
     alpha: float
     backtracks: int

@@ -14,6 +14,48 @@ from nmfkit.errors import (
 from _util import frobenius_oracle, traced_peak
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "bad, detail",
+        [
+            ([[1.0, 2.0], [3.0]], "rectangular array of real numbers"),
+            ([["a", "b"]], "real numbers, got dtype <U1"),
+            ([[1 + 1j, 2.0]], "real numbers, got dtype complex128"),
+            (np.array([[1 + 1j, 2.0], [3.0, 4j]]), "real numbers, got dtype complex128"),
+            (np.array([[1 + 1j, 2.0]], dtype=object), "real numbers"),
+            ([[10**400, 1]], "real numbers: int too large"),
+        ],
+        ids=[
+            "ragged", "strings", "complex-list", "complex-array", "complex-object",
+            "huge-int",
+        ],
+    )
+    def test_input_that_is_not_real_is_refused_by_name(self, bad, detail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(ContractViolationError, match=f"^X must .*{detail}"):
+                linalg.as_matrix(bad, "X")
+
+    def test_float64_array_is_returned_as_it_is(self):
+        M = np.ones((2, 3))
+        assert linalg.as_matrix(M) is M
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            [[1, 0], [2, 3]],
+            [[True, False], [True, True]],
+            np.array([[1, 0], [2, 3]], dtype=np.float32),
+            np.array([[1, 0.0], [2, 3]], dtype=object),
+        ],
+        ids=["int-list", "bool-list", "float32", "object"],
+    )
+    def test_real_input_is_converted(self, given):
+        out = linalg.as_matrix(given)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.array(given, dtype=np.float64))
+
+
 class TestFrobeniusResidual:
     def test_exact_factorization_is_zero(self):
         rng = np.random.default_rng(0)
