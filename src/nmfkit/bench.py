@@ -60,7 +60,6 @@ class BenchScenario:
     m: int
     rank_values: tuple[int, ...]
     kind: MatrixKind = MatrixKind.DENSE_UNIFORM
-    algorithms: tuple[Algorithm, ...] = ALL_ALGORITHMS
     trials: int = 50
     seed: int = 0
 
@@ -217,7 +216,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
         results.rows.extend(
             TrialRow.failed(scenario.name, alg, r, trial, exc)
             for r in ranks
-            for alg in scenario.algorithms
+            for alg in ALL_ALGORITHMS
         )
 
     for trial in range(scenario.trials):
@@ -234,7 +233,7 @@ def run_scenario(scenario: BenchScenario) -> BenchResults:
             except NmfError as exc:
                 fail(trial, (r,), exc)
                 continue
-            for alg in scenario.algorithms:
+            for alg in ALL_ALGORITHMS:
                 try:
                     config = SolverConfig(alg, rank=r, target=target)
                     _, trace = solvers.solve(V, config, init=start)

@@ -205,40 +205,28 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation, defined as 0 when either input is constant."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    da = a - a.mean()
-    db = b - b.mean()
-    na = float(np.sqrt(np.sum(da * da)))
-    nb = float(np.sqrt(np.sum(db * db)))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.sum(da * db) / (na * nb))
-
-
 def match_sources(recovered: np.ndarray, sources: np.ndarray):
     """Greedy best-correlation assignment of recovered rows to true sources.
 
     Rows are scaled to unit norm first (harmless for Pearson correlation,
-    which is scale-invariant, but it keeps the outputs comparable). Returns
-    a list of (source_index, recovered_index, correlation), one per source,
-    in descending correlation order of assignment.
+    which is scale-invariant, but it keeps the outputs comparable). A
+    constant row or source correlates 0. Returns a list of (source_index,
+    recovered_index, correlation), one per source, in descending correlation
+    order of assignment.
     """
-    recovered = np.asarray(recovered, dtype=float)
-    sources = np.asarray(sources, dtype=float)
-    scaled = recovered.copy()
+    scaled = np.array(recovered, dtype=float, order="C")
+    sources = np.ascontiguousarray(sources, dtype=float)
     for i in range(scaled.shape[0]):
         norm = float(np.sqrt(np.sum(scaled[i] * scaled[i])))
         if norm > 0:
             scaled[i] /= norm
-    corr = np.array(
-        [
-            [pearson_correlation(scaled[i], sources[j]) for j in range(sources.shape[0])]
-            for i in range(scaled.shape[0])
-        ]
-    )
+    # Every sum runs along a contiguous row, in numpy's pairwise order, so
+    # each correlation has the bits of a sum over that one pair's samples.
+    dr = scaled - scaled.mean(axis=1, keepdims=True)
+    ds = sources - sources.mean(axis=1, keepdims=True)
+    norms = np.outer(np.sqrt(np.sum(dr * dr, axis=1)), np.sqrt(np.sum(ds * ds, axis=1)))
+    cross = np.sum(dr[:, None, :] * ds[None, :, :], axis=2)
+    corr = np.divide(cross, norms, out=np.zeros_like(cross), where=norms != 0.0)
     matches = []
     free_rec = set(range(scaled.shape[0]))
     free_src = set(range(sources.shape[0]))

@@ -530,9 +530,11 @@ def solve(
         Algorithm, rank, stopping rule and seed.
     init : FactorPair, optional
         Starting factors, shapes (n, rank) and (rank, m), entrywise finite
-        and nonnegative; they are coerced to float64 as V is, copied, and
-        become iterate 0. When omitted the seeded uniform start of
-        :func:`initial_factors` is used.
+        and nonnegative, with no all-zero row or column in either factor and
+        a finite objective ``||V - W H||_F**2``; any other start is refused
+        with :class:`ContractViolationError`. They are coerced to float64 as
+        V is, copied, and become iterate 0. When omitted the seeded uniform
+        start of :func:`initial_factors` is used.
     callback : callable, optional
         Invoked as ``callback(iteration, pair)`` after each full iteration.
         It observes only: ``pair`` is a separate :class:`FactorPair` of the
@@ -589,6 +591,16 @@ def solve(
             )
         linalg.require_nonnegative(state.W, "init W")
         linalg.require_nonnegative(state.H, "init H")
+        # From an all-zero row or column some map meets a zero denominator,
+        # Gram diagonal or step size, or a W column it cannot normalize.
+        for name, M in (("W", state.W), ("H", state.H)):
+            for axis, line in ((1, "row"), (0, "column")):
+                zero = np.flatnonzero(~M.any(axis=axis))
+                if zero.size:
+                    raise ContractViolationError(
+                        f"init {name} has an all-zero {line} {int(zero[0])}; "
+                        "a start needs every row and column of W and H nonzero"
+                    )
         state = state.copy()
 
     alg = config.algorithm
@@ -597,9 +609,14 @@ def solve(
     if accelerated:
         from . import squarem
     trace = IterationTrace()
-    f_prev = linalg.frobenius_residual(V, state.W, state.H)
+    # An overflow is reported by the error below, not by a warning.
+    with np.errstate(over="ignore"):
+        f_prev = linalg.frobenius_residual(V, state.W, state.H)
     if not np.isfinite(f_prev):
-        raise NumericalFailureError("initial objective is not finite", iteration=0)
+        raise ContractViolationError(
+            f"the objective of the start overflows float64 (largest entries: W "
+            f"{float(state.W.max())!r}, H {float(state.H.max())!r}); rescale V or init"
+        )
     trace.append(TraceRecord(0, f_prev, 0.0))
     target = config.target
 

@@ -17,7 +17,7 @@ example in a test) is observed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,11 +77,14 @@ def monotone_rise(V, config: SolverConfig) -> float:
     solve descends.
 
     Both the trace objectives and the exact residual of every iterate are
-    checked, so a wrong Gram-form objective cannot hide an ascent.
+    checked, so a wrong Gram-form objective cannot hide an ascent. Every
+    iterate must also pass :meth:`FactorPair.validate` (nonnegative factors,
+    unit-norm W columns), whose error a violation raises.
     """
     exact = []
 
     def record(k, state):
+        state.validate()
         exact.append(linalg.frobenius_residual(V, state.W, state.H))
 
     _, trace = solvers.solve(V, config, callback=record)
@@ -230,8 +233,7 @@ def _random_instance(seed: int, n: int = 12, m: int = 15, r: int = 3):
     return V, r
 
 
-def _suite_monotonicity(seed: int, quick: bool) -> SuiteResult:
-    result = SuiteResult("monotonicity")
+def _suite_monotonicity(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
     instances = 2 if quick else 4
     iters = 15 if quick else 30
     for alg in solvers.Algorithm:
@@ -241,16 +243,14 @@ def _suite_monotonicity(seed: int, quick: bool) -> SuiteResult:
                 algorithm=alg, rank=r, tol=1e-15, max_iters=iters, seed=derive_seed(seed, 11, i)
             )
             rise = monotone_rise(V, config)
-            result.record(
+            yield (
                 rise <= 0.0,
                 f"algorithm={alg.value} instance={i} objective rose by {rise!r} "
                 "beyond the slack",
             )
-    return result
 
 
-def _suite_majorization(seed: int, quick: bool) -> SuiteResult:
-    result = SuiteResult("majorization")
+def _suite_majorization(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
     instances = 2 if quick else 5
     samples = 20 if quick else 100
     for i in range(instances):
@@ -261,17 +261,15 @@ def _suite_majorization(seed: int, quick: bool) -> SuiteResult:
         state = FactorPair(W, H)
         for alg in (Algorithm.INOM, Algorithm.PARINOM):
             gaps = majorization_gaps(V, state, alg, samples, derive_seed(seed, 22, i))
-            result.record(
+            yield (
                 all(gap <= MAJORIZATION_TOL for gap in gaps),
                 f"algorithm={alg.value} instance={i} bound misses the objective "
                 f"by {gaps.anchor!r} at its anchor and undercuts it by "
                 f"{gaps.domination!r} at a sample",
             )
-    return result
 
 
-def _suite_fixed_point(seed: int, quick: bool) -> SuiteResult:
-    result = SuiteResult("fixed-point")
+def _suite_fixed_point(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
     instances = 2 if quick else 5
     for i in range(instances):
         rng = np.random.default_rng(derive_seed(seed, 30, i))
@@ -281,30 +279,26 @@ def _suite_fixed_point(seed: int, quick: bool) -> SuiteResult:
         V, pair = W @ H, FactorPair(W, H)
         for alg in solvers.BASE_MAPS:
             drift = fixed_point_drift(V, pair, alg)
-            result.record(
+            yield (
                 drift <= FIXED_POINT_TOL,
                 f"map={alg.value} instance={i} planted factorization drifted by {drift!r}",
             )
-    return result
 
 
-def _suite_psd_bound(seed: int, quick: bool) -> SuiteResult:
-    result = SuiteResult("psd-bound")
+def _suite_psd_bound(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
     count = 50 if quick else 200
     rng = np.random.default_rng(derive_seed(seed, 40))
     for i in range(count):
         size = int(rng.integers(2, 21))
         B = rng.uniform(0.0, 1.0, size=(size, size))
         gap = psd_gap(B + B.T)
-        result.record(
+        yield (
             gap >= -PSD_TOL,
             f"sample={i} size={size} min eigenvalue {gap!r} below {-PSD_TOL!r}",
         )
-    return result
 
 
-def _suite_kkt_decrease(seed: int, quick: bool) -> SuiteResult:
-    result = SuiteResult("kkt-decrease")
+def _suite_kkt_decrease(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
     instances = 2 if quick else 5
     for i in range(instances):
         rng = np.random.default_rng(derive_seed(seed, 60, i))
@@ -314,16 +308,14 @@ def _suite_kkt_decrease(seed: int, quick: bool) -> SuiteResult:
                 algorithm=alg, rank=3, tol=1e-8, seed=derive_seed(seed, 61, i)
             )
             ratio = kkt_ratio(V, config)
-            result.record(
+            yield (
                 ratio <= KKT_DROP,
                 f"algorithm={alg.value} instance={i} stationarity residual "
                 f"shrank only to {ratio!r} of its start (needs {KKT_DROP!r})",
             )
-    return result
 
 
-def _suite_acceleration(seed: int, quick: bool) -> SuiteResult:
-    result = SuiteResult("acceleration")
+def _suite_acceleration(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
     instances = 2 if quick else 5
     steps = 5 if quick else 10
     for alg in solvers.BASE_MAPS:
@@ -332,23 +324,23 @@ def _suite_acceleration(seed: int, quick: bool) -> SuiteResult:
             start = solvers.initial_factors(V, r, derive_seed(seed, 71, i))
             gaps = acceleration_gaps(V, start, alg, steps)
             where = f"map={alg.value} instance={i}"
-            result.record(
+            yield (
                 gaps.identity_exact,
                 f"{where} alpha = -1 did not reproduce the two-step iterate",
             )
-            result.record(
+            yield (
                 gaps.rise <= 0.0,
                 f"{where} accepted step raised the objective by {gaps.rise!r} "
                 "beyond the slack",
             )
-            result.record(
+            yield (
                 gaps.lag <= 0.0,
                 f"{where} accelerated steps trailed twice as many plain steps "
                 f"by {gaps.lag!r} beyond the slack",
             )
-    return result
 
 
+# Each suite yields an (ok, detail) pair per check; detail is the counterexample.
 SUITES = (
     ("monotonicity", _suite_monotonicity),
     ("majorization", _suite_majorization),
@@ -362,16 +354,18 @@ SUITES = (
 def run_all(seed: int = 0, quick: bool = False) -> list[SuiteResult]:
     """Run every suite; reduced sample counts with ``quick=True``.
 
-    A suite that aborts with a solver error counts as failed with the error
-    text as its counterexample; a broken solver must never crash the harness
-    that is supposed to flag it.
+    A suite that aborts with a solver error counts as one failed check, its
+    earlier checks dropped, with the error text as its counterexample; a
+    broken solver must never crash the harness that is supposed to flag it.
     """
     out: list[SuiteResult] = []
     for name, suite in SUITES:
         try:
-            out.append(suite(seed, quick))
+            checks = list(suite(seed, quick))
         except NmfError as exc:
-            aborted = SuiteResult(name)
-            aborted.record(False, f"suite aborted: {exc}")
-            out.append(aborted)
+            checks = [(False, f"suite aborted: {exc}")]
+        result = SuiteResult(name)
+        for ok, detail in checks:
+            result.record(ok, detail)
+        out.append(result)
     return out

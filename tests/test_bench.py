@@ -79,13 +79,13 @@ class TestScenario:
         with pytest.raises(ContractViolationError, match="rank must be >= 1"):
             BenchScenario(name="x", n=10, m=10, rank_values=ranks)
 
-    def test_single_cell_table(self):
+    def test_single_cell_table(self, monkeypatch):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.INOM,))
         scenario = BenchScenario(
             name="tiny",
             n=12,
             m=15,
             rank_values=(2,),
-            algorithms=(Algorithm.INOM,),
             trials=1,
             seed=6,
         )
@@ -98,13 +98,13 @@ class TestScenario:
         assert len(summary) == 1
         assert summary[0]["achieved_count"] == 1
 
-    def test_iteration_counts_reproducible(self):
+    def test_iteration_counts_reproducible(self, monkeypatch):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.INOM, Algorithm.MU))
         scenario = BenchScenario(
             name="repro",
             n=15,
             m=18,
             rank_values=(2, 3),
-            algorithms=(Algorithm.INOM, Algorithm.MU),
             trials=2,
             seed=7,
         )
@@ -133,12 +133,14 @@ class TestScenario:
     def test_shared_data_and_init_across_algorithms(self, monkeypatch):
         # Within one (trial, r) cell every algorithm is handed the same start:
         # the seeded draw of that cell.
+        monkeypatch.setattr(
+            bench, "ALL_ALGORITHMS", (Algorithm.INOM, Algorithm.MU, Algorithm.ACC_PARINOM)
+        )
         scenario = BenchScenario(
             name="shared",
             n=10,
             m=12,
             rank_values=(2, 3),
-            algorithms=(Algorithm.INOM, Algorithm.MU, Algorithm.ACC_PARINOM),
             trials=1,
             seed=8,
         )
@@ -147,7 +149,7 @@ class TestScenario:
         assert len(calls) == 6
         for k, r in enumerate(scenario.rank_values):
             cell = calls[3 * k : 3 * k + 3]
-            assert [c.algorithm for c, _, _ in cell] == list(scenario.algorithms)
+            assert [c.algorithm for c, _, _ in cell] == list(bench.ALL_ALGORITHMS)
             seed = datagen.derive_seed(scenario.seed, 0, 1, r)
             seeded = solvers.initial_factors(V, r, seed)
             for config, init, trace in cell:
@@ -181,6 +183,8 @@ class TestScenario:
             )
 
     def test_cell_failure_recorded_and_run_continues(self, monkeypatch):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.MU, Algorithm.INOM))
+
         def broken(V, state, *, v_sq=None, products=None):
             raise NumericalFailureError("injected fault")
 
@@ -190,7 +194,6 @@ class TestScenario:
             n=10,
             m=12,
             rank_values=(2,),
-            algorithms=(Algorithm.MU, Algorithm.INOM),
             trials=1,
             seed=9,
         )
@@ -202,6 +205,7 @@ class TestScenario:
         assert by_alg[Algorithm.INOM].achieved
 
     def test_failing_cell_start_recorded_for_every_algorithm(self, monkeypatch):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.MU, Algorithm.INOM))
         real = solvers.initial_factors
 
         def broken_at_rank_2(V, rank, seed):
@@ -215,7 +219,6 @@ class TestScenario:
             n=10,
             m=12,
             rank_values=(2, 3),
-            algorithms=(Algorithm.MU, Algorithm.INOM),
             trials=1,
             seed=9,
         )
@@ -226,14 +229,14 @@ class TestScenario:
         assert all(x.error == "injected start fault" for x in rows[:2])
         assert all(x.error is None and x.achieved for x in rows[2:])
 
-    def test_sparse_kind_runs(self):
+    def test_sparse_kind_runs(self, monkeypatch):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.FAST_HALS,))
         scenario = BenchScenario(
             name="sparse-tiny",
             n=40,
             m=50,
             rank_values=(3,),
             kind=MatrixKind.SPARSE70,
-            algorithms=(Algorithm.FAST_HALS,),
             trials=1,
             seed=10,
         )
@@ -242,13 +245,13 @@ class TestScenario:
 
 
 class TestCsvOutputs:
-    def test_results_csv_header_and_determinism(self, tmp_path):
+    def test_results_csv_header_and_determinism(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.INOM,))
         scenario = BenchScenario(
             name="csv",
             n=10,
             m=12,
             rank_values=(2,),
-            algorithms=(Algorithm.INOM,),
             trials=2,
             seed=11,
         )
@@ -273,12 +276,12 @@ class TestCsvOutputs:
 
         assert strip_elapsed(lines1) == strip_elapsed(lines2)
 
-    def test_failed_row_carries_its_message(self, tmp_path):
+    def test_failed_row_carries_its_message(self, monkeypatch, tmp_path):
         # The message holds a comma and a quote; the CSV reader must get it
         # back whole in the last column, and a finished row's column is empty.
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.INOM,))
         scenario = BenchScenario(
-            name="err", n=10, m=12, rank_values=(2,), algorithms=(Algorithm.INOM,),
-            trials=1, seed=13,
+            name="err", n=10, m=12, rank_values=(2,), trials=1, seed=13
         )
         results = run_scenario(scenario)
         message = 'column 3 is identically zero, "W" cannot be normalized'
@@ -296,13 +299,13 @@ class TestCsvOutputs:
         assert good[-1] == ""
         assert failed[4:] == ["nan", "0", "false", "nan", message]
 
-    def test_summary_csv(self, tmp_path):
+    def test_summary_csv(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.INOM,))
         scenario = BenchScenario(
             name="summary",
             n=10,
             m=12,
             rank_values=(2,),
-            algorithms=(Algorithm.INOM,),
             trials=2,
             seed=12,
         )

@@ -613,14 +613,44 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "counterexample" in err
 
+    def test_unnormalized_w_detected(self, capsys, monkeypatch):
+        # Unit norms switch off W's normalization in every map but
+        # Fast-HALS's; the objective still descends.
+        monkeypatch.setattr(
+            solvers, "_nonzero_column_norms", lambda W: np.ones(W.shape[1])
+        )
+        code = main(["verify", "--quick"])
+        assert code == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out.startswith("monotonicity: 1 checks, 1 failures")
+        assert "unit norm" in captured.err
+
 
 class TestMatching:
-    def test_pearson_degenerate_is_zero(self):
-        assert cli.pearson_correlation(np.ones(5), np.arange(5.0)) == 0.0
+    def test_constant_row_correlates_zero(self):
+        # 16 samples: the unit-norm scaling of a row of ones is exact, so
+        # the scaled row is still constant.
+        sources = np.arange(16.0)[None, :]
+        assert cli.match_sources(np.ones((1, 16)), sources) == [(0, 0, 0.0)]
+        assert cli.match_sources(np.zeros((1, 16)), sources) == [(0, 0, 0.0)]
 
-    def test_pearson_perfect(self):
-        x = np.arange(10.0)
-        assert abs(cli.pearson_correlation(x, 2.0 * x + 1.0) - 1.0) <= 1e-12
+    def test_affine_copy_correlates_one(self):
+        x = np.arange(10.0)[None, :]
+        [(_, _, corr)] = cli.match_sources(2.0 * x + 1.0, x)
+        assert corr >= 1.0 - 1e-12
+
+    def test_match_pinned(self):
+        # The floats of the per-pair Pearson sums this matrix form replaced.
+        rng = np.random.default_rng(31)
+        sources = rng.uniform(0.0, 1.0, (4, 1000))
+        recovered = 3.0 * sources[[2, 0, 3, 1]] + rng.uniform(0.0, 0.5, (4, 1000))
+        recovered = np.vstack([recovered, rng.uniform(0.0, 1.0, (1, 1000))])
+        assert cli.match_sources(recovered, sources) == [
+            (0, 1, float.fromhex("0x1.f94773ca0ec26p-1")),
+            (3, 2, float.fromhex("0x1.f92959d985e57p-1")),
+            (1, 3, float.fromhex("0x1.f8eee4bbcde22p-1")),
+            (2, 0, float.fromhex("0x1.f8d08276d8ca9p-1")),
+        ]
 
     def test_greedy_match_recovers_permutation(self):
         rng = np.random.default_rng(23)

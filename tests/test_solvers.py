@@ -445,6 +445,44 @@ class TestSolve:
         with pytest.raises(ContractViolationError):
             solve(V, config, init=FactorPair(-W, np.ones((2, 4))))
 
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
+    @pytest.mark.parametrize(
+        "zero, message",
+        [
+            (lambda W, H: W[2].fill(0.0), "init W has an all-zero row 2;"),
+            (lambda W, H: W[:, 1].fill(0.0), "init W has an all-zero column 1;"),
+            (lambda W, H: W.fill(0.0), "init W has an all-zero row 0;"),
+            (lambda W, H: H[1].fill(0.0), "init H has an all-zero row 1;"),
+            (lambda W, H: H[:, 4].fill(0.0), "init H has an all-zero column 4;"),
+        ],
+        ids=["W-row", "W-column", "W-all", "H-row", "H-column"],
+    )
+    def test_init_with_zero_line_refused(self, alg, zero, message):
+        # Some map cannot step from such a start (a zero denominator, Gram
+        # diagonal or step size), so every algorithm refuses it up front.
+        V, start = random_instance(25)
+        zero(start.W, start.H)
+        with pytest.raises(ContractViolationError, match=f"^{message}"):
+            solve(V, SolverConfig(algorithm=alg, rank=3), init=start)
+
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
+    def test_init_with_zero_entries_runs(self, alg):
+        # The rule is about whole rows and columns, not single entries.
+        V, start = random_instance(25)
+        start.W[0, 0] = start.W[3, 2] = start.H[1, 5] = 0.0
+        _, trace = solve(V, SolverConfig(algorithm=alg, rank=3, max_iters=5), init=start)
+        assert trace.is_monotone()
+
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
+    @pytest.mark.parametrize("factor", ["W", "H"])
+    def test_init_whose_objective_overflows_refused(self, alg, factor):
+        V, start = random_instance(25)
+        setattr(start, factor, getattr(start, factor) * 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(ContractViolationError, match="rescale V or init$"):
+                solve(V, SolverConfig(algorithm=alg, rank=3), init=start)
+
     def test_one_dimensional_data_refused(self):
         with pytest.raises(ContractViolationError, match="V must be 2-D, got 1-D"):
             solve(np.ones(4), SolverConfig(algorithm=Algorithm.INOM, rank=1))
