@@ -530,10 +530,12 @@ def solve(
         Algorithm, rank, stopping rule and seed.
     init : FactorPair, optional
         Starting factors, shapes (n, rank) and (rank, m), entrywise finite
-        and nonnegative, with no all-zero row or column in either factor and
-        a finite objective ``||V - W H||_F**2``; any other start is refused
-        with :class:`ContractViolationError`. They are coerced to float64 as
-        V is, copied, and become iterate 0. When omitted the seeded uniform
+        and nonnegative, every row and column of either factor with a sum of
+        squares of at least the smallest normal float64 (which excludes an
+        all-zero or subnormal one), and a finite objective
+        ``||V - W H||_F**2``; any other start is refused with
+        :class:`ContractViolationError`. They are coerced to float64 as V is,
+        copied, and become iterate 0. When omitted the seeded uniform
         start of :func:`initial_factors` is used.
     callback : callable, optional
         Invoked as ``callback(iteration, pair)`` after each full iteration.
@@ -591,15 +593,24 @@ def solve(
             )
         linalg.require_nonnegative(state.W, "init W")
         linalg.require_nonnegative(state.H, "init H")
-        # From an all-zero row or column some map meets a zero denominator,
-        # Gram diagonal or step size, or a W column it cannot normalize.
+        # From a row or column whose squares sum to zero or to a subnormal,
+        # some map meets a zero denominator, Gram diagonal or step size, a W
+        # column it cannot normalize, or a quotient that overflows.
+        tiny = np.finfo(np.float64).tiny
         for name, M in (("W", state.W), ("H", state.H)):
-            for axis, line in ((1, "row"), (0, "column")):
-                zero = np.flatnonzero(~M.any(axis=axis))
-                if zero.size:
+            for spec, line in (("ij,ij->i", "row"), ("ij,ij->j", "column")):
+                # A sum that overflows passes the rule; the objective check
+                # below refuses it.
+                with np.errstate(over="ignore"):
+                    sq = np.einsum(spec, M, M)
+                small = np.flatnonzero(sq < tiny)
+                if small.size:
+                    k = int(small[0])
                     raise ContractViolationError(
-                        f"init {name} has an all-zero {line} {int(zero[0])}; "
-                        "a start needs every row and column of W and H nonzero"
+                        f"init {name} {line} {k} has a sum of squares of "
+                        f"{float(sq[k])!r}, below the smallest normal float64 "
+                        f"{float(tiny)!r}; every row and column of W and H "
+                        "needs one at least that large"
                     )
         state = state.copy()
 

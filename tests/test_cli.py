@@ -352,6 +352,45 @@ class TestReproducibility:
         assert runs[0][2][0] == "iter,objective"
         assert len(runs[0][2]) > 2
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split CSV read forks")
+    def test_factorize_outputs_do_not_depend_on_the_split_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        V = datagen.generate_dense_uniform(250, 250, 100.0, 200.0, seed=1003)
+        inp = write_csv(tmp_path / "v.csv", V)
+        # Two usable CPUs split a body of this size in two.
+        assert os.path.getsize(inp) > 2 * linalg._PARALLEL_MIN_BYTES
+        forks = []
+        fork = linalg._fork
+        monkeypatch.setattr(linalg, "_fork", lambda: forks.append(True) or fork())
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / str(len(cpus))
+            out.mkdir()
+            code = main(
+                [
+                    "factorize", inp, "--rank", "5", "--algo", "acc-mu",
+                    "--normalize", "--tol", "1e-3", "--seed", "2",
+                    "--out-w", str(out / "W.csv"), "--out-h", str(out / "H.csv"),
+                    "--trace", str(out / "trace.csv"),
+                ]
+            )
+            assert code == EXIT_OK
+            trace = [
+                line.rsplit(",", 1)[0]
+                for line in (out / "trace.csv").read_text().splitlines()
+            ]
+            runs.append(
+                (
+                    (out / "W.csv").read_bytes(), (out / "H.csv").read_bytes(),
+                    trace, capsys.readouterr().out,
+                )
+            )
+        assert len(forks) == 2
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) > 2
+
 
 def assert_invalid_request(code, capsys, fragment):
     """Exit 1 with one ``nmfkit: invalid request`` line naming the fault."""

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +15,10 @@ from nmfkit.errors import (
 )
 
 from _util import frobenius_oracle, traced_peak
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the split CSV read forks its parsers"
+)
 
 
 class TestAsMatrix:
@@ -398,6 +405,8 @@ class TestCsv:
         "blanks-then-extra-row": "2,2\n1,2\n3,4\n\n \n5,6\n",
         "trailing-blank-lines-only": "2,2\n1,2\n3,4\n\n\t\n\n",
         "header-promises-more-rows": "5,2\n1,2\n\n3,4\n\n",
+        # More values than the body has bytes for: refused, never allocated.
+        "header-promises-terabytes": "100000000000,2\n1,2\n3,4\n",
         "blank-lines-between-rows": "3,2\n1,2\n\n\n3,4\n \n5,6\n",
     }
 
@@ -423,6 +432,193 @@ class TestCsv:
         assert self._outcome(linalg.read_matrix_csv, path) == self._outcome(
             self._read_strict, path
         )
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """``split(k)`` makes :func:`linalg.read_matrix_csv` cut any body
+        into ``k`` ranges, as if ``k`` CPUs were usable and the threshold
+        were one byte. It returns two lists that the reads fill in this
+        process: one entry per fork, and ``(offset, line end)`` per cut."""
+        forks, cuts = [], []
+        fork, line_end = linalg._fork, linalg._line_end
+
+        def counted_fork():
+            forks.append(True)
+            return fork()
+
+        def recorded_line_end(fd, pos):
+            cuts.append((pos, line_end(fd, pos)))
+            return cuts[-1][1]
+
+        monkeypatch.setattr(linalg, "_fork", counted_fork)
+        monkeypatch.setattr(linalg, "_line_end", recorded_line_end)
+        monkeypatch.setattr(linalg, "_PARALLEL_MIN_BYTES", 1)
+
+        def force(k):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(k)), raising=False
+            )
+            return forks, cuts
+
+        return force
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_split_reader_matches_strict_parser(self, tmp_path, split, name, k):
+        path = tmp_path / "m.csv"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(self.DIFFERENTIAL[name])
+        split(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._outcome(linalg.read_matrix_csv, path)
+        self._assert_no_child_left()
+        assert got == self._outcome(self._read_strict, path)
+
+    # Files whose body, cut into k ranges, splits where ``where(data, cuts)``
+    # says, given each cut's (offset, line end).
+    SPLIT = {
+        "cut-on-blank-line": (
+            2, b"2,2\n1,2\n" + b"\n" * 40 + b"3,4\n",
+            lambda d, cuts: d[cuts[0][0] - 1 : cuts[0][0] + 1] == b"\n\n",
+        ),
+        "cut-between-crlf": (
+            2, b"2,2\r\n1,2\r\n3,4",
+            lambda d, cuts: d[cuts[0][0] - 1 : cuts[0][0] + 1] == b"\r\n",
+        ),
+        # The header's lone "\r" leaves the reader's offset undefined, so the
+        # body is parsed in this process.
+        "cr-only-file": (2, b"2,2\r1,2\r\r3,4\r", lambda d, cuts: not cuts),
+        "cr-only-body": (
+            2, b"2,2\r\n1,2\r3,4\r", lambda d, cuts: cuts[0][1] == len(d),
+        ),
+        # Past the text decoder's first 8 KiB chunk, so a child meets it.
+        "non-ascii-in-second-range": (
+            2, b"2,2\n1,2\n" + b"\n" * 20000 + b"3,\xff4\n",
+            lambda d, cuts: b"\xff" in d[cuts[0][1] :],
+        ),
+        "extra-row-in-last-range": (
+            3, b"2,2\n1,2\n" + b"\n" * 30 + b"3,4\n" + b"\n" * 30 + b"5,6\n",
+            lambda d, cuts: b"5,6" in d[cuts[1][1] :],
+        ),
+        "ragged-row-in-middle-range": (
+            3, b"3,2\n1,2\n" + b"\n" * 30 + b"3\n" + b"\n" * 30 + b"5,6\n",
+            lambda d, cuts: b"\n3\n" in d[cuts[0][1] : cuts[1][1]],
+        ),
+        # Two rows of three values and one of two send the header's 4 x 2
+        # values, so only the per-range width check refuses the file.
+        "widths-fill-byte-count": (
+            2, b"4,2\n1,2,3\n4,5,6\n" + b"\n" * 20 + b"7,8\n",
+            lambda d, cuts: b"4,5,6" in d[: cuts[0][1]] and b"7,8" in d[cuts[0][1] :],
+        ),
+    }
+
+    @needs_fork
+    @pytest.mark.parametrize("name", sorted(SPLIT))
+    def test_split_at_awkward_cuts_matches_strict_parser(
+        self, tmp_path, monkeypatch, split, name
+    ):
+        k, data, where = self.SPLIT[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        forks, cuts = split(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._outcome(linalg.read_matrix_csv, path)
+        self._assert_no_child_left()
+        assert where(data, cuts)
+        assert len(forks) == (len(cuts) + 1 if cuts else 0)
+        # The strict parser alone decides, as when the fast path gives up.
+        monkeypatch.setattr(linalg, "_read_loadtxt", lambda fh: None)
+        assert got == self._outcome(linalg.read_matrix_csv, path)
+
+    @needs_fork
+    def test_fork_failure_gives_in_process_array(self, tmp_path, monkeypatch, split):
+        M = np.random.default_rng(16).uniform(0, 1, (30, 20))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        in_process = linalg.read_matrix_csv(path)
+        split(2)
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(linalg, "_fork", no_fork)
+        assert linalg.read_matrix_csv(path).tobytes() == in_process.tobytes()
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_failing_child_gives_strict_outcome(self, tmp_path, monkeypatch, split):
+        M = np.random.default_rng(17).uniform(0, 1, (30, 20))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        forks, _ = split(2)
+        strict_reads = []
+        read_strict = linalg._read_strict
+
+        def counted_read_strict(fh):
+            strict_reads.append(True)
+            return read_strict(fh)
+
+        monkeypatch.setattr(linalg, "_read_strict", counted_read_strict)
+        monkeypatch.setattr(linalg, "_parse_range_and_exit", lambda *args: os._exit(3))
+        assert np.array_equal(linalg.read_matrix_csv(path), M)
+        assert len(forks) == 2 and len(strict_reads) == 1
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_read_with_sigchld_ignored(self, tmp_path, split):
+        # The children are reaped by the kernel, so their exits are unknown
+        # and the strict parser reads the file.
+        M = np.random.default_rng(18).uniform(0, 1, (30, 20))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        forks, _ = split(2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            out = linalg.read_matrix_csv(path)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert np.array_equal(out, M)
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_no_fork_while_another_thread_runs(self, tmp_path, split):
+        M = np.random.default_rng(19).uniform(0, 1, (30, 20))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        forks, _ = split(2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            out = linalg.read_matrix_csv(path)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forks
+        assert np.array_equal(out, M)
+
+    @needs_fork
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_read_allocates_output_once(self, tmp_path, split, k):
+        M = np.random.default_rng(15).uniform(100, 200, (600, 600))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        forks, _ = split(k)
+        out, peak = traced_peak(linalg.read_matrix_csv, path)
+        assert len(forks) == k
+        assert np.array_equal(out, M)
+        assert peak < 1.1 * M.nbytes
+        self._assert_no_child_left()
 
     @pytest.mark.parametrize("crlf_and_blanks", [False, True])
     def test_well_formed_file_skips_strict_parser(

@@ -449,21 +449,33 @@ class TestSolve:
     @pytest.mark.parametrize(
         "zero, message",
         [
-            (lambda W, H: W[2].fill(0.0), "init W has an all-zero row 2;"),
-            (lambda W, H: W[:, 1].fill(0.0), "init W has an all-zero column 1;"),
-            (lambda W, H: W.fill(0.0), "init W has an all-zero row 0;"),
-            (lambda W, H: H[1].fill(0.0), "init H has an all-zero row 1;"),
-            (lambda W, H: H[:, 4].fill(0.0), "init H has an all-zero column 4;"),
+            (lambda W, H: W[2].fill(0.0), "init W row 2 has a sum of squares of 0.0,"),
+            (lambda W, H: W[:, 1].fill(0.0), "init W column 1 has a sum of squares of 0.0,"),
+            (lambda W, H: W.fill(0.0), "init W row 0 has a sum of squares of 0.0,"),
+            (lambda W, H: H[1].fill(0.0), "init H row 1 has a sum of squares of 0.0,"),
+            (lambda W, H: H[:, 4].fill(0.0), "init H column 4 has a sum of squares of 0.0,"),
+            (lambda W, H: W[2].fill(5e-324), "init W row 2 has a sum of squares of 0.0,"),
+            (lambda W, H: W[:, 1].fill(5e-324), "init W column 1 has a sum of squares of 0.0,"),
+            (lambda W, H: H[:, 4].fill(5e-324), "init H column 4 has a sum of squares of 0.0,"),
+            # 1e-160 is normal, but its square is subnormal.
+            (lambda W, H: H[1].fill(1e-160), "init H row 1 has a sum of squares of 1.2e-319,"),
         ],
-        ids=["W-row", "W-column", "W-all", "H-row", "H-column"],
+        ids=[
+            "W-row", "W-column", "W-all", "H-row", "H-column",
+            "W-row-subnormal", "W-column-subnormal", "H-column-subnormal",
+            "H-row-square-subnormal",
+        ],
     )
     def test_init_with_zero_line_refused(self, alg, zero, message):
         # Some map cannot step from such a start (a zero denominator, Gram
-        # diagonal or step size), so every algorithm refuses it up front.
+        # diagonal or step size, or a non-finite quotient), so every
+        # algorithm refuses it up front, without a numpy warning.
         V, start = random_instance(25)
         zero(start.W, start.H)
-        with pytest.raises(ContractViolationError, match=f"^{message}"):
-            solve(V, SolverConfig(algorithm=alg, rank=3), init=start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=f"^{message}"):
+                solve(V, SolverConfig(algorithm=alg, rank=3), init=start)
 
     @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
     def test_init_with_zero_entries_runs(self, alg):
