@@ -310,19 +310,25 @@ def read_matrix_csv(path) -> np.ndarray:
     ``os.sched_getaffinity`` and ``os.fork`` (Linux), at least two CPUs are
     usable, the body holds at least twice ``_PARALLEL_MIN_BYTES`` bytes and
     only one Python thread runs. It is then cut at line ends into one byte
-    range per usable CPU, none shorter than that constant; a forked child parses
-    each range and writes its rows through a pipe straight into the output,
-    so the parse runs on every usable CPU while this process allocates the
-    output once and holds one copy of the matrix. Otherwise the body is
-    parsed in this process, fed line by line from the open file and told the
-    header's row count, so the output is allocated once at its final size
-    and the peak memory is that output plus a few line buffers. The result
-    is kept only when its shape matches the header, every entry is finite
-    and only blank lines follow the last row. Otherwise, and whenever
-    ``loadtxt`` rejects the file or a child fails, it is read again by the
-    strict line-by-line parser, which defines what this function accepts and
-    raises its errors. A file thus gives the same array, or the same error,
-    on either path and however its body is split.
+    range per usable CPU, none shorter than that constant; a forked child
+    parses each range and writes its rows through a pipe straight into the
+    output, so the parse runs on every usable CPU while this process
+    allocates the output once and holds one copy of the matrix. Each child
+    reads its range through a 64 KiB buffer and parses about
+    ``_BATCH_BYTES`` of text at a time. The first sends its rows as it
+    parses them; each later one holds its rows until this process reaches
+    its pipe. So while they run, the children hold at most one more copy of
+    the matrix (half of one with two CPUs). Otherwise, and when no pipe or
+    child can be had, the body is parsed in this process, fed line by line
+    from the open file and told the header's row count, so the output is
+    allocated once at its final size and the peak memory is that output
+    plus a few line buffers. The result is kept only when its shape matches
+    the header, every entry is finite and only blank lines follow the last
+    row. Otherwise, and whenever ``loadtxt`` rejects the file or a child
+    fails, it is read again by the strict line-by-line parser, which defines
+    what this function accepts and raises its errors. A file thus gives the
+    same array, or the same error, on either path and however its body is
+    split.
 
     Raises :class:`CsvFormatError` with the 1-based line number on any
     malformed header, row, or value, including a non-finite one and a
@@ -349,8 +355,14 @@ _STRICT_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 # process, a split read costs about 3 ms more than its parse (the forks and
 # pipes), and it broke even with the in-process parse at about 350 KiB per
 # range: 6.2 against 6.4 ms for a 702 KiB body, 9.5 against 12.7 ms for
-# 1404 KiB.
+# 1404 KiB. The constant sits above that because a fork costs more from a
+# caller holding more memory. It rests on that one timing: no benchmark
+# workload reads a body under 1 MiB or from a large caller, and
+# os.sched_getaffinity counts CPUs that a cgroup quota may not grant.
 _PARALLEL_MIN_BYTES = 1 << 19
+
+# About how much of its range's text a forked parser holds at once.
+_BATCH_BYTES = 1 << 20
 
 
 def _lines_without_strict_only(fh):
@@ -398,8 +410,13 @@ def _read_loadtxt(fh):
         return None
     ranges = _range_count(body)
     if ranges > 1:
-        out = _read_ranges(fh, ranges, rows, cols)
-    else:
+        try:
+            out = _read_ranges(fh, ranges, rows, cols)
+        except OSError:
+            # No pipe or child to be had (EAGAIN near the process limit,
+            # ENOMEM, EMFILE); fh has not moved, so the body is parsed here.
+            ranges = 1
+    if ranges == 1:
         out = _read_in_process(fh, rows)
     if out is None or out.shape != (rows, cols) or _first_non_finite(out) is not None:
         return None
@@ -478,11 +495,12 @@ def _fork() -> int:
 def _read_ranges(fh, ranges, rows, cols):
     """Parse the rest of ``fh`` in ``ranges`` forked children, one byte range
     each, cut just after a ``\\n``, and read their rows, in order, into one
-    ``(rows, cols)`` array. None when a pipe or fork fails, a child exits
-    non-zero or the children send other than ``rows * cols`` values.
+    ``(rows, cols)`` array. None when a child exits non-zero or the children
+    send other than ``rows * cols`` values; ``OSError`` when a pipe, fork or
+    read fails.
 
     Offsets are read with ``os.pread``, which leaves the descriptor's shared
-    offset alone, so ``fh`` can still be rewound for the strict parser.
+    offset alone, so ``fh`` can still be read on or rewound.
     """
     fd = fh.fileno()
     start, end = fh.tell(), os.fstat(fd).st_size
@@ -499,7 +517,7 @@ def _read_ranges(fh, ranges, rows, cols):
             try:
                 pid = _fork()
                 if pid == 0:
-                    _parse_range_and_exit(fd, a, b, cols, w, reads)
+                    _parse_range_and_exit(fd, a, b, cols, w, reads, a > start)
                 pids.append(pid)
             finally:
                 # A later child must not inherit this write end, or the pipe
@@ -514,8 +532,6 @@ def _read_ranges(fh, ranges, rows, cols):
                 return None
         if pos != len(view):
             return None
-    except OSError:
-        return None
     finally:
         # A child still writing meets a closed pipe and exits.
         for r in reads:
@@ -533,22 +549,70 @@ def _wait(pid) -> int:
         return -1
 
 
-def _parse_range_and_exit(fd, a, b, cols, w, reads):
+class _RangeReader(io.RawIOBase):
+    """Bytes ``[a, b)`` of ``fd``, read with ``os.pread`` as asked, so no
+    call is longer than the caller's buffer and the shared offset stays."""
+
+    def __init__(self, fd, a, b):
+        super().__init__()
+        self._fd, self._pos, self._end = fd, a, b
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        # A short read just returns less; an empty one, past the end of a
+        # file that shrank, ends the range early and the byte count fails.
+        data = os.pread(self._fd, min(len(buf), self._end - self._pos), self._pos)
+        buf[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _batches(lines):
+    """``lines`` in lists of about ``_BATCH_BYTES`` characters each."""
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line)
+        if size >= _BATCH_BYTES:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _parse_range_and_exit(fd, a, b, cols, w, reads, hold):
     """In a forked child: parse bytes ``[a, b)`` of ``fd``, write the rows to
     ``w`` as float64 and exit 0; exit 1 when a row does not hold ``cols``
-    values or anything fails. Never returns."""
+    values or anything fails. Never returns.
+
+    The range is read through a 64 KiB buffer and parsed one batch of lines
+    at a time. The parent drains the pipes in order, so the first range
+    writes each batch's rows at once; a later range (``hold``) keeps its rows
+    until the end, so that it parses on while the parent drains the ranges
+    before it instead of waiting on a full pipe.
+    """
     code = 1
     try:
         for r in reads:
             os.close(r)
-        data = os.pread(fd, b - a, a)
-        block = _loadtxt(_lines_without_strict_only(
-            io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
-        ))
-        if block.size == 0 or block.shape[1] == cols:
-            with open(w, "wb") as pipe:
+        text = io.TextIOWrapper(
+            io.BufferedReader(_RangeReader(fd, a, b), 1 << 16), encoding="ascii"
+        )
+        held = []
+        with open(w, "wb") as pipe:
+            for batch in _batches(_lines_without_strict_only(text)):
+                block = _loadtxt(batch)
+                if block.size and block.shape[1] != cols:
+                    return
+                if hold:
+                    held.append(block)
+                else:
+                    pipe.write(block)
+            for block in held:
                 pipe.write(block)
-            code = 0
+        code = 0
     finally:
         os._exit(code)
 

@@ -437,8 +437,10 @@ class TestCsv:
     def split(self, monkeypatch):
         """``split(k)`` makes :func:`linalg.read_matrix_csv` cut any body
         into ``k`` ranges, as if ``k`` CPUs were usable and the threshold
-        were one byte. It returns two lists that the reads fill in this
-        process: one entry per fork, and ``(offset, line end)`` per cut."""
+        were one byte, and parse each range a line or two at a time, so batch
+        ends meet every awkward line too. It returns two lists that the reads
+        fill in this process: one entry per fork, and ``(offset, line end)``
+        per cut."""
         forks, cuts = [], []
         fork, line_end = linalg._fork, linalg._line_end
 
@@ -453,6 +455,7 @@ class TestCsv:
         monkeypatch.setattr(linalg, "_fork", counted_fork)
         monkeypatch.setattr(linalg, "_line_end", recorded_line_end)
         monkeypatch.setattr(linalg, "_PARALLEL_MIN_BYTES", 1)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8)
 
         def force(k):
             monkeypatch.setattr(
@@ -538,19 +541,98 @@ class TestCsv:
         monkeypatch.setattr(linalg, "_read_loadtxt", lambda fh: None)
         assert got == self._outcome(linalg.read_matrix_csv, path)
 
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Replace ``linalg.<name>`` by a wrapper and return the list it
+        appends to on each call in this process."""
+        calls, inner = [], getattr(linalg, name)
+
+        def counted(*args):
+            calls.append(True)
+            return inner(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+        return calls
+
     @needs_fork
-    def test_fork_failure_gives_in_process_array(self, tmp_path, monkeypatch, split):
+    @pytest.mark.parametrize("failing", ["pipe", "first-fork", "second-fork"])
+    def test_setup_failure_parses_in_process(
+        self, tmp_path, monkeypatch, split, failing
+    ):
         M = np.random.default_rng(16).uniform(0, 1, (30, 20))
         path = tmp_path / "m.csv"
         linalg.write_matrix_csv(path, M)
-        in_process = linalg.read_matrix_csv(path)
+        forks, _ = split(3)
+        fork = linalg._fork
+
+        def failing_fork():
+            if failing == "first-fork" or forks:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
+
+        def no_pipe():
+            raise OSError(24, "Too many open files")
+
+        if failing == "pipe":
+            monkeypatch.setattr(os, "pipe", no_pipe)
+        else:
+            monkeypatch.setattr(linalg, "_fork", failing_fork)
+        in_process = self._count_calls(monkeypatch, "_read_in_process")
+        strict = self._count_calls(monkeypatch, "_read_strict")
+        out = linalg.read_matrix_csv(path)
+        assert np.array_equal(out, M)
+        assert len(in_process) == 1 and not strict
+        assert len(forks) == {"pipe": 0, "first-fork": 0, "second-fork": 1}[failing]
+        self._assert_no_child_left()
+
+    @needs_fork
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_read_survives_short_reads(self, tmp_path, monkeypatch, split, k):
+        # os.pread may return fewer bytes than asked, and Linux returns at
+        # most about 2 GiB per call. The children ask for at most a buffer's
+        # worth and read on until their range ends; here every call returns
+        # at most 7 bytes and a longer request fails the child.
+        M = np.random.default_rng(20).uniform(100, 200, (40, 30))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        forks, _ = split(k)
+        pread = os.pread
+
+        def short_pread(fd, n, offset):
+            assert n <= 1 << 16
+            return pread(fd, min(n, 7), offset)
+
+        monkeypatch.setattr(os, "pread", short_pread)
+        strict = self._count_calls(monkeypatch, "_read_strict")
+        out = linalg.read_matrix_csv(path)
+        assert len(forks) == k and not strict
+        assert out.tobytes() == M.tobytes()
+        self._assert_no_child_left()
+
+    @needs_fork
+    def test_children_parse_in_bounded_batches(self, tmp_path, monkeypatch, split):
+        # The children hold about _BATCH_BYTES of their range's text at once,
+        # not the whole range. Each reports its batch sizes through a file.
+        M = np.random.default_rng(21).uniform(100, 200, (300, 300))
+        path, log = tmp_path / "m.csv", tmp_path / "batches"
+        linalg.write_matrix_csv(path, M)
         split(2)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 1 << 15)
+        loadtxt = linalg._loadtxt
 
-        def no_fork():
-            raise OSError(11, "Resource temporarily unavailable")
+        def logged_loadtxt(lines, max_rows=None):
+            if isinstance(lines, list):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {sum(map(len, lines))}\n")
+            return loadtxt(lines, max_rows)
 
-        monkeypatch.setattr(linalg, "_fork", no_fork)
-        assert linalg.read_matrix_csv(path).tobytes() == in_process.tobytes()
+        monkeypatch.setattr(linalg, "_loadtxt", logged_loadtxt)
+        assert np.array_equal(linalg.read_matrix_csv(path), M)
+        batches = [line.split() for line in log.read_text().splitlines()]
+        line_length = max(map(len, path.read_text().splitlines()))
+        assert len({pid for pid, _ in batches}) == 2
+        assert len(batches) > 20
+        assert max(int(size) for _, size in batches) < (1 << 15) + line_length + 1
         self._assert_no_child_left()
 
     @needs_fork
