@@ -314,21 +314,22 @@ def read_matrix_csv(path) -> np.ndarray:
     parses each range and writes its rows through a pipe straight into the
     output, so the parse runs on every usable CPU while this process
     allocates the output once and holds one copy of the matrix. Each child
-    reads its range through a 64 KiB buffer and parses about
-    ``_BATCH_BYTES`` of text at a time. The first sends its rows as it
-    parses them; each later one holds its rows until this process reaches
-    its pipe. So while they run, the children hold at most one more copy of
-    the matrix (half of one with two CPUs). Otherwise, and when no pipe or
-    child can be had, the body is parsed in this process, fed line by line
-    from the open file and told the header's row count, so the output is
-    allocated once at its final size and the peak memory is that output
-    plus a few line buffers. The result is kept only when its shape matches
-    the header, every entry is finite and only blank lines follow the last
-    row. Otherwise, and whenever ``loadtxt`` rejects the file or a child
-    fails, it is read again by the strict line-by-line parser, which defines
-    what this function accepts and raises its errors. A file thus gives the
-    same array, or the same error, on either path and however its body is
-    split.
+    reads its range through a 64 KiB buffer and asks ``loadtxt`` for about
+    ``_BLOCK_BYTES`` of rows at a time, holding no batch of text. The first
+    sends each block of rows as it parses it; each later one holds its rows
+    until this process reaches its pipe. So while they run, the children
+    hold at most one more copy of the matrix (half of one with two CPUs).
+    Otherwise, and when no pipe or child can be had, the body is parsed in
+    this process in one ``loadtxt`` call, fed line by line from the open
+    file and told one row more than the header's count, so the output is
+    allocated once at about its final size, a further row shows, and the
+    peak memory is that output plus a few line buffers. The result is kept
+    only when it holds the header's count of rows of its count of values
+    and every entry is finite. Otherwise, and whenever ``loadtxt`` rejects
+    the file or a child fails, it is read again by the strict line-by-line
+    parser, which defines what this function accepts and raises its errors.
+    A file thus gives the same array, or the same error, on either path and
+    however its body is split.
 
     Raises :class:`CsvFormatError` with the 1-based line number on any
     malformed header, row, or value, including a non-finite one and a
@@ -361,8 +362,8 @@ _STRICT_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 # os.sched_getaffinity counts CPUs that a cgroup quota may not grant.
 _PARALLEL_MIN_BYTES = 1 << 19
 
-# About how much of its range's text a forked parser holds at once.
-_BATCH_BYTES = 1 << 20
+# About how many bytes of rows a forked parser asks loadtxt for at once.
+_BLOCK_BYTES = 1 << 20
 
 
 def _lines_without_strict_only(fh):
@@ -373,20 +374,29 @@ def _lines_without_strict_only(fh):
         yield line
 
 
-def _loadtxt(lines, max_rows=None) -> np.ndarray:
-    """``np.loadtxt`` of CSV body lines, at most ``max_rows`` rows of them;
-    raises ``ValueError`` on anything it cannot parse."""
-    with warnings.catch_warnings():
-        # An empty body, which the strict parser reports, or a blank line,
-        # which it skips.
-        warnings.filterwarnings(
-            "ignore", r"(loadtxt: input|Input line \d+) contained no data",
-            UserWarning,
-        )
-        return np.loadtxt(
-            lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
-            max_rows=max_rows,
-        )
+def _row_blocks(text, cols, count):
+    """The CSV body lines of ``text`` parsed by ``np.loadtxt`` in blocks of
+    ``count`` rows, the last one shorter: loadtxt stops short only where the
+    text ends. Raises ``ValueError`` on anything it cannot parse and on a row
+    without ``cols`` values."""
+    lines = _lines_without_strict_only(text)
+    while True:
+        with warnings.catch_warnings():
+            # An empty body, which the strict parser reports, or a blank line,
+            # which it skips.
+            warnings.filterwarnings(
+                "ignore", r"(loadtxt: input|Input line \d+) contained no data",
+                UserWarning,
+            )
+            block = np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                max_rows=count,
+            )
+        if block.size and block.shape[1] != cols:
+            raise ValueError(f"a row holds {block.shape[1]} values, not {cols}")
+        yield block
+        if len(block) < count:
+            return
 
 
 def _read_loadtxt(fh):
@@ -417,8 +427,8 @@ def _read_loadtxt(fh):
             # ENOMEM, EMFILE); fh has not moved, so the body is parsed here.
             ranges = 1
     if ranges == 1:
-        out = _read_in_process(fh, rows)
-    if out is None or out.shape != (rows, cols) or _first_non_finite(out) is not None:
+        out = _read_in_process(fh, rows, cols)
+    if out is None or _first_non_finite(out) is not None:
         return None
     return out
 
@@ -446,19 +456,16 @@ def _range_count(body) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), body // _PARALLEL_MIN_BYTES))
 
 
-def _read_in_process(fh, rows):
-    """Parse the rest of ``fh`` line by line, or None on a ``ValueError``."""
-    lines = _lines_without_strict_only(fh)
+def _read_in_process(fh, rows, cols):
+    """Parse the rest of ``fh`` line by line: its ``(rows, cols)`` array, or
+    None when it holds other than ``rows`` rows of ``cols`` values."""
     try:
-        # max_rows lets numpy allocate the output once, at its final size.
-        out = _loadtxt(lines, max_rows=rows)
-        # loadtxt stops after the last row; anything but blank lines after it
-        # is an error the strict parser reports.
-        if any(line.strip() for line in lines):
-            return None
+        # One block of one row more than the header's count: numpy allocates
+        # it once, and a further row comes back as a longer block.
+        out = next(_row_blocks(fh, cols, rows + 1))
     except ValueError:
         return None
-    return out
+    return out if len(out) == rows else None
 
 
 def _line_end(fd, pos) -> int:
@@ -569,29 +576,16 @@ class _RangeReader(io.RawIOBase):
         return len(data)
 
 
-def _batches(lines):
-    """``lines`` in lists of about ``_BATCH_BYTES`` characters each."""
-    batch, size = [], 0
-    for line in lines:
-        batch.append(line)
-        size += len(line)
-        if size >= _BATCH_BYTES:
-            yield batch
-            batch, size = [], 0
-    if batch:
-        yield batch
-
-
 def _parse_range_and_exit(fd, a, b, cols, w, reads, hold):
     """In a forked child: parse bytes ``[a, b)`` of ``fd``, write the rows to
     ``w`` as float64 and exit 0; exit 1 when a row does not hold ``cols``
     values or anything fails. Never returns.
 
-    The range is read through a 64 KiB buffer and parsed one batch of lines
-    at a time. The parent drains the pipes in order, so the first range
-    writes each batch's rows at once; a later range (``hold``) keeps its rows
-    until the end, so that it parses on while the parent drains the ranges
-    before it instead of waiting on a full pipe.
+    The range is read through a 64 KiB buffer and parsed about
+    ``_BLOCK_BYTES`` of rows at a time. The parent drains the pipes in order,
+    so the first range writes each block at once; a later range (``hold``)
+    keeps its rows until the end, so that it parses on while the parent
+    drains the ranges before it instead of waiting on a full pipe.
     """
     code = 1
     try:
@@ -602,10 +596,7 @@ def _parse_range_and_exit(fd, a, b, cols, w, reads, hold):
         )
         held = []
         with open(w, "wb") as pipe:
-            for batch in _batches(_lines_without_strict_only(text)):
-                block = _loadtxt(batch)
-                if block.size and block.shape[1] != cols:
-                    return
+            for block in _row_blocks(text, cols, max(1, _BLOCK_BYTES // (8 * cols))):
                 if hold:
                     held.append(block)
                 else:

@@ -437,8 +437,8 @@ class TestCsv:
     def split(self, monkeypatch):
         """``split(k)`` makes :func:`linalg.read_matrix_csv` cut any body
         into ``k`` ranges, as if ``k`` CPUs were usable and the threshold
-        were one byte, and parse each range a line or two at a time, so batch
-        ends meet every awkward line too. It returns two lists that the reads
+        were one byte, and parse each range one row at a time, so block ends
+        meet every awkward line too. It returns two lists that the reads
         fill in this process: one entry per fork, and ``(offset, line end)``
         per cut."""
         forks, cuts = [], []
@@ -455,7 +455,7 @@ class TestCsv:
         monkeypatch.setattr(linalg, "_fork", counted_fork)
         monkeypatch.setattr(linalg, "_line_end", recorded_line_end)
         monkeypatch.setattr(linalg, "_PARALLEL_MIN_BYTES", 1)
-        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8)
 
         def force(k):
             monkeypatch.setattr(
@@ -610,29 +610,29 @@ class TestCsv:
         self._assert_no_child_left()
 
     @needs_fork
-    def test_children_parse_in_bounded_batches(self, tmp_path, monkeypatch, split):
-        # The children hold about _BATCH_BYTES of their range's text at once,
-        # not the whole range. Each reports its batch sizes through a file.
+    def test_children_parse_in_bounded_blocks(self, tmp_path, monkeypatch, split):
+        # The children ask loadtxt for about _BLOCK_BYTES of rows at once, not
+        # their whole range. Each reports its block sizes through a file.
         M = np.random.default_rng(21).uniform(100, 200, (300, 300))
-        path, log = tmp_path / "m.csv", tmp_path / "batches"
+        path, log = tmp_path / "m.csv", tmp_path / "blocks"
         linalg.write_matrix_csv(path, M)
         split(2)
-        monkeypatch.setattr(linalg, "_BATCH_BYTES", 1 << 15)
-        loadtxt = linalg._loadtxt
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1 << 15)
+        row_blocks = linalg._row_blocks
 
-        def logged_loadtxt(lines, max_rows=None):
-            if isinstance(lines, list):
+        def logged_row_blocks(text, cols, count):
+            for block in row_blocks(text, cols, count):
                 with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()} {sum(map(len, lines))}\n")
-            return loadtxt(lines, max_rows)
+                    fh.write(f"{os.getpid()} {len(block)}\n")
+                yield block
 
-        monkeypatch.setattr(linalg, "_loadtxt", logged_loadtxt)
+        monkeypatch.setattr(linalg, "_row_blocks", logged_row_blocks)
         assert np.array_equal(linalg.read_matrix_csv(path), M)
-        batches = [line.split() for line in log.read_text().splitlines()]
-        line_length = max(map(len, path.read_text().splitlines()))
-        assert len({pid for pid, _ in batches}) == 2
-        assert len(batches) > 20
-        assert max(int(size) for _, size in batches) < (1 << 15) + line_length + 1
+        blocks = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in blocks}) == 2
+        assert str(os.getpid()) not in {pid for pid, _ in blocks}
+        assert len(blocks) > 20
+        assert max(int(rows) for _, rows in blocks) * M[0].nbytes <= 1 << 15
         self._assert_no_child_left()
 
     @needs_fork
