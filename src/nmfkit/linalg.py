@@ -12,6 +12,8 @@ import gc
 import io
 import numbers
 import os
+import shutil
+import tempfile
 import threading
 import warnings
 
@@ -305,6 +307,10 @@ def read_matrix_csv(path) -> np.ndarray:
     then ``rows`` lines of ``cols`` comma-separated finite values. Blank
     lines are skipped; there are no comments and no quotes.
 
+    An input that cannot seek (a FIFO, or a pipe such as ``/dev/stdin``) is
+    first copied into an anonymous temporary file, so every read below sees
+    a seekable file of known size.
+
     A well-formed file is parsed by numpy's C reader (``np.loadtxt``). The
     body after the header is split when the platform has
     ``os.sched_getaffinity`` and ``os.fork`` (Linux), at least two CPUs are
@@ -335,15 +341,29 @@ def read_matrix_csv(path) -> np.ndarray:
     malformed header, row, or value, including a non-finite one and a
     non-ASCII byte. An unopenable path raises ``OSError``.
     """
+    with open(path, "rb") as src:
+        raw = src if src.seekable() else _seekable_copy(src)
+        with io.TextIOWrapper(raw, encoding="ascii") as fh:
+            try:
+                out = _read_loadtxt(fh)
+                if out is None:
+                    fh.seek(0)
+                    out = _read_strict(fh)
+            except UnicodeDecodeError:
+                raise _non_ascii_error(raw) from None
+    return out
+
+
+def _seekable_copy(src):
+    """The rest of ``src`` copied into an anonymous temporary file, rewound."""
+    copy = tempfile.TemporaryFile()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            out = _read_loadtxt(fh)
-            if out is None:
-                fh.seek(0)
-                out = _read_strict(fh)
-        return out
-    except UnicodeDecodeError:
-        raise _non_ascii_error(path) from None
+        shutil.copyfileobj(src, copy)
+        copy.seek(0)
+    except BaseException:
+        copy.close()
+        raise
+    return copy
 
 
 # str.splitlines, which the strict parser uses, also ends a line at \x0b,
@@ -411,14 +431,14 @@ def _read_loadtxt(fh):
         return None
     if rows <= 0 or cols <= 0:
         return None
-    body = _body_bytes(fh)
     # A value takes at least two bytes, a digit and a comma or line end (the
     # last one may lack its line end). A header promising more values than
     # that is left to the strict parser, which counts rows before it
-    # allocates anything.
-    if body is not None and 2 * rows * cols > body + 1:
+    # allocates anything. With ASCII the header took len(header) bytes, or
+    # one more when "\r\n" ended it.
+    if 2 * rows * cols > os.fstat(fh.fileno()).st_size - len(header) + 1:
         return None
-    ranges = _range_count(body)
+    ranges = _range_count(_body_bytes(fh))
     if ranges > 1:
         try:
             out = _read_ranges(fh, ranges, rows, cols)
@@ -435,8 +455,6 @@ def _read_loadtxt(fh):
 
 def _body_bytes(fh):
     """How many bytes follow the header, or None when that is unknown."""
-    if not fh.seekable():
-        return None
     # With ASCII, one byte per character, tell() is the byte offset. After a
     # header ended by a lone "\r" it also packs the newline decoder's state,
     # which puts it above the file size.
@@ -619,14 +637,29 @@ def _drain(fd, view, pos):
     return None if os.read(fd, 1) else pos
 
 
-def _non_ascii_error(path) -> CsvFormatError:
-    # The text decoder reports a position within its chunk, so find the first
-    # non-ASCII byte again and number its line as the strict parser would.
-    with open(path, "rb") as fh:
-        data = fh.read()
-    pos = data.decode("ascii", errors="replace").index("\ufffd")
-    line = len((data[:pos].decode("ascii") + "x").splitlines())
-    return CsvFormatError(f"byte {data[pos]:#04x} is not ASCII", line=line)
+# The ASCII characters at which str.splitlines ends a line.
+_LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _non_ascii_error(raw) -> CsvFormatError:
+    """The error for the first non-ASCII byte of the binary file ``raw``,
+    numbered by its line as the strict parser would, found a 64 KiB chunk at
+    a time: the text decoder reports a position within its own chunk."""
+    raw.seek(0)
+    line, cr = 1, False
+    while chunk := raw.read(1 << 16):
+        text = chunk.decode("ascii", errors="replace")
+        pos = text.find("\ufffd")
+        head = text if pos < 0 else text[:pos]
+        # "\r\n" ends one line, also when a chunk ends between the two.
+        line += sum(map(head.count, _LINE_BREAKS)) - head.count("\r\n")
+        if cr and head.startswith("\n"):
+            line -= 1
+        if pos >= 0:
+            return CsvFormatError(f"byte {chunk[pos]:#04x} is not ASCII", line=line)
+        cr = text.endswith("\r")
+    # The file changed after the decoder met the byte.
+    return CsvFormatError("a non-ASCII byte is no longer there", line=line)
 
 
 def _read_strict(fh) -> np.ndarray:

@@ -1,6 +1,9 @@
 import math
 import os
+import pickle
 import signal
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -407,6 +410,7 @@ class TestCsv:
         "header-promises-more-rows": "5,2\n1,2\n\n3,4\n\n",
         # More values than the body has bytes for: refused, never allocated.
         "header-promises-terabytes": "100000000000,2\n1,2\n3,4\n",
+        "header-promises-terabytes-cr": "100000000000,2\r1,2\r3,4\r",
         "blank-lines-between-rows": "3,2\n1,2\n\n\n3,4\n \n5,6\n",
     }
 
@@ -432,6 +436,55 @@ class TestCsv:
         assert self._outcome(linalg.read_matrix_csv, path) == self._outcome(
             self._read_strict, path
         )
+
+    # A fresh interpreter reads the FIFO argv[1] while a thread of its own
+    # writes stdin's bytes into it, and pickles the outcome to stdout.
+    FIFO_READ = """
+import pickle, sys, threading
+from nmfkit import linalg
+from nmfkit.errors import CsvFormatError
+
+def feed(data=sys.stdin.buffer.read()):
+    with open(sys.argv[1], "wb") as fh:
+        fh.write(data)
+
+threading.Thread(target=feed).start()
+try:
+    M = linalg.read_matrix_csv(sys.argv[1])
+    outcome = ("ok", M.shape, M.tobytes())
+except CsvFormatError as exc:
+    outcome = ("error", str(exc), exc.line)
+sys.stdout.buffer.write(pickle.dumps(outcome))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize(
+        "name", ["well-formed", "non-ascii", "ragged-row", "header-promises-terabytes"]
+    )
+    def test_fifo_gives_regular_file_outcome(self, tmp_path, name):
+        # An input that cannot seek is copied to a temporary file first; the
+        # read runs in a child with a timeout, so a hang fails the test.
+        data = {
+            "well-formed": None,
+            "non-ascii": b"2,2\n1,2\n3,\xff4\n",
+            "ragged-row": b"2,2\n1,2\n3\n",
+            "header-promises-terabytes": b"100000000000,2\n1,2\n3,4\n",
+        }[name]
+        path, fifo = tmp_path / "m.csv", tmp_path / "fifo"
+        if data is None:
+            M = np.random.default_rng(22).uniform(100, 200, (300, 300))
+            linalg.write_matrix_csv(path, M)
+            data = path.read_bytes()
+        path.write_bytes(data)
+        os.mkfifo(fifo)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FIFO_READ, str(fifo)],
+            input=data, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        got = pickle.loads(proc.stdout)
+        assert got == self._outcome(linalg.read_matrix_csv, path)
+        assert got[0] == ("ok" if name == "well-formed" else "error")
 
     @pytest.fixture
     def split(self, monkeypatch):
@@ -723,10 +776,15 @@ class TestCsv:
             warnings.simplefilter("error")
             assert np.array_equal(linalg.read_matrix_csv(path), M)
 
-    def test_read_allocates_output_once(self, tmp_path):
+    @pytest.mark.parametrize("cpus", ["one", "host"])
+    def test_read_allocates_output_once(self, tmp_path, monkeypatch, cpus):
+        # With one usable CPU the body is parsed in this process; with the
+        # host's, it is split when the host has two or more.
         M = np.random.default_rng(15).uniform(100, 200, (600, 600))
         path = tmp_path / "m.csv"
         linalg.write_matrix_csv(path, M)
+        if cpus == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         out, peak = traced_peak(linalg.read_matrix_csv, path)
         assert np.array_equal(out, M)
         assert peak < 1.1 * M.nbytes
@@ -777,8 +835,11 @@ class TestCsv:
             (b"2,2\r\n1,2\r\n\r\n3,4\xc3\xa9\r\n", 4),
             # Past the text decoder's first 8 KiB chunk, so loadtxt meets it.
             (b"1000,1\n" + b"1.2345678901234567\n" * 999 + b"\x80\n", 1001),
+            # Past the first 64 KiB scanned for it, with that chunk ending
+            # between the "\r" and "\n" of one line end (bytes 65535-65536).
+            (b"21843,1\r\n\r\n" + b"1\r\n" * 21842 + b"\x80\r\n", 21845),
         ],
-        ids=["body", "header", "crlf-and-blank", "past-first-chunk"],
+        ids=["body", "header", "crlf-and-blank", "past-first-chunk", "crlf-across-chunks"],
     )
     def test_non_ascii_byte_names_its_line(self, tmp_path, data, line):
         path = tmp_path / "m.csv"
