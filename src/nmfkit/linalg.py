@@ -1,4 +1,5 @@
-"""Dense matrix primitives shared by every solver.
+"""Dense matrix primitives shared by every solver, and the matrix CSV
+reader and writer.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). The factorization
 problem V ~= W H keeps V as n x m, W as n x r and H as r x m, all entrywise
@@ -326,15 +327,16 @@ def read_matrix_csv(path) -> np.ndarray:
     until this process reaches its pipe. So while they run, the children
     hold at most one more copy of the matrix (half of one with two CPUs).
     Otherwise, and when no pipe or child can be had, the body is parsed in
-    this process in one ``loadtxt`` call, fed line by line from the open
-    file and told one row more than the header's count, so the output is
-    allocated once at about its final size, a further row shows, and the
-    peak memory is that output plus a few line buffers. The result is kept
-    only when it holds the header's count of rows of its count of values
-    and every entry is finite. Otherwise, and whenever ``loadtxt`` rejects
-    the file or a child fails, it is read again by the strict line-by-line
-    parser, which defines what this function accepts and raises its errors.
-    A file thus gives the same array, or the same error, on either path and
+    this process, fed line by line from the open file to one ``loadtxt``
+    call for the header's count of rows, so the output is allocated once at
+    its final size and the peak memory is that output plus a few line
+    buffers; one more call finds any further row. The result is kept only
+    when it holds the header's count of rows of its count of values and
+    every entry is finite. Otherwise, and whenever ``loadtxt`` rejects the
+    file, a byte is not ASCII or a child fails, the strict line-by-line
+    parser reads the whole file again. It defines what this function
+    accepts and raises every format error, a non-ASCII byte's included, so
+    a file gives the same array, or the same error, on either path and
     however its body is split.
 
     Raises :class:`CsvFormatError` with the 1-based line number on any
@@ -344,13 +346,10 @@ def read_matrix_csv(path) -> np.ndarray:
     with open(path, "rb") as src:
         raw = src if src.seekable() else _seekable_copy(src)
         with io.TextIOWrapper(raw, encoding="ascii") as fh:
-            try:
-                out = _read_loadtxt(fh)
-                if out is None:
-                    fh.seek(0)
-                    out = _read_strict(fh)
-            except UnicodeDecodeError:
-                raise _non_ascii_error(raw) from None
+            out = _read_loadtxt(fh)
+            if out is None:
+                fh.seek(0)
+                out = _read_strict(fh)
     return out
 
 
@@ -422,14 +421,13 @@ def _row_blocks(text, cols, count):
 def _read_loadtxt(fh):
     """The fast path of :func:`read_matrix_csv`: the parsed matrix, or None
     when the strict parser must decide."""
-    header = fh.readline()
-    if any(ch in header for ch in _STRICT_ONLY):
-        return None
     try:
+        # A non-ASCII byte raises UnicodeDecodeError, a ValueError.
+        header = fh.readline()
         rows, cols = map(int, header.split(","))
     except ValueError:
         return None
-    if rows <= 0 or cols <= 0:
+    if rows <= 0 or cols <= 0 or any(ch in header for ch in _STRICT_ONLY):
         return None
     # A value takes at least two bytes, a digit and a comma or line end (the
     # last one may lack its line end). A header promising more values than
@@ -478,12 +476,15 @@ def _read_in_process(fh, rows, cols):
     """Parse the rest of ``fh`` line by line: its ``(rows, cols)`` array, or
     None when it holds other than ``rows`` rows of ``cols`` values."""
     try:
-        # One block of one row more than the header's count: numpy allocates
-        # it once, and a further row comes back as a longer block.
-        out = next(_row_blocks(fh, cols, rows + 1))
+        # One block of the header's count of rows, which numpy allocates at
+        # its final size; a further row starts a second block.
+        blocks = _row_blocks(fh, cols, rows)
+        out = next(blocks)
+        if len(out) < rows or len(next(blocks, ())):
+            return None
     except ValueError:
         return None
-    return out if len(out) == rows else None
+    return out
 
 
 def _line_end(fd, pos) -> int:
@@ -637,35 +638,23 @@ def _drain(fd, view, pos):
     return None if os.read(fd, 1) else pos
 
 
-# The ASCII characters at which str.splitlines ends a line.
-_LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-
-
-def _non_ascii_error(raw) -> CsvFormatError:
-    """The error for the first non-ASCII byte of the binary file ``raw``,
-    numbered by its line as the strict parser would, found a 64 KiB chunk at
-    a time: the text decoder reports a position within its own chunk."""
-    raw.seek(0)
-    line, cr = 1, False
-    while chunk := raw.read(1 << 16):
-        text = chunk.decode("ascii", errors="replace")
-        pos = text.find("\ufffd")
-        head = text if pos < 0 else text[:pos]
-        # "\r\n" ends one line, also when a chunk ends between the two.
-        line += sum(map(head.count, _LINE_BREAKS)) - head.count("\r\n")
-        if cr and head.startswith("\n"):
-            line -= 1
-        if pos >= 0:
-            return CsvFormatError(f"byte {chunk[pos]:#04x} is not ASCII", line=line)
-        cr = text.endswith("\r")
-    # The file changed after the decoder met the byte.
-    return CsvFormatError("a non-ASCII byte is no longer there", line=line)
-
-
 def _read_strict(fh) -> np.ndarray:
     """The line-by-line parser behind :func:`read_matrix_csv`; raises its
     :class:`CsvFormatError`."""
-    lines = fh.read().splitlines()
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        # One read decodes the whole file, so exc.start is the byte's offset
+        # in it. Dropping the traceback frees the copy of the file that the
+        # decoder's frame holds. "?" stands in for the byte, which starts no
+        # new line.
+        exc.__traceback__ = None
+        head = str(memoryview(exc.object)[: exc.start], "ascii") + "?"
+        raise CsvFormatError(
+            f"byte {exc.object[exc.start]:#04x} is not ASCII",
+            line=len(head.splitlines()),
+        ) from None
+    lines = text.splitlines()
     if not lines:
         raise CsvFormatError("empty file", line=1)
     header = lines[0].split(",")

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -412,6 +413,16 @@ class TestCsv:
         "header-promises-terabytes": "100000000000,2\n1,2\n3,4\n",
         "header-promises-terabytes-cr": "100000000000,2\r1,2\r3,4\r",
         "blank-lines-between-rows": "3,2\n1,2\n\n\n3,4\n \n5,6\n",
+        # Bytes, not text: the strict parser names a non-ASCII byte's line.
+        "non-ascii-in-body": b"2,2\n1,2\n3,\xff4\n",
+        "non-ascii-in-header": b"2\xe9,2\n1,2\n3,4\n",
+        "non-ascii-after-cr": b"2,2\r1,2\r\x803,4\r",
+        "non-ascii-after-form-feed": b"2,2\n1,2\x0c\x803,4\n",
+        # Body bytes 56 of 90: in the second range whether the body is cut in
+        # two (at 46) or in three (at 31 and 61).
+        "non-ascii-in-second-range": (
+            b"2,2\n1,2\n" + b"\n" * 50 + b"3,\xff4\n" + b"\n" * 30
+        ),
     }
 
     @staticmethod
@@ -427,12 +438,15 @@ class TestCsv:
         with open(path, "r", encoding="ascii") as fh:
             return linalg._read_strict(fh)
 
+    @classmethod
+    def _write_case(cls, path, name):
+        data = cls.DIFFERENTIAL[name]
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("ascii"))
+
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
     def test_reader_matches_strict_parser(self, tmp_path, name):
         path = tmp_path / "m.csv"
-        # newline="" keeps "\r\n" as written.
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.DIFFERENTIAL[name])
+        self._write_case(path, name)
         assert self._outcome(linalg.read_matrix_csv, path) == self._outcome(
             self._read_strict, path
         )
@@ -528,14 +542,52 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
     def test_split_reader_matches_strict_parser(self, tmp_path, split, name, k):
         path = tmp_path / "m.csv"
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.DIFFERENTIAL[name])
+        self._write_case(path, name)
         split(k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = self._outcome(linalg.read_matrix_csv, path)
         self._assert_no_child_left()
         assert got == self._outcome(self._read_strict, path)
+
+    # What drawn files are made of: every byte class the two parsers treat
+    # differently, and one byte that is not ASCII.
+    TOKENS = [*(bytes([c]) for c in b"0123456789,.-e \n\r\x0c\x1f"), b"nan", b"\xff"]
+
+    @needs_fork
+    def test_reader_matches_strict_parser_on_drawn_files(self, tmp_path, split):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = tmp_path / "m.csv"
+        # About a header's count of lines of its count of cells, each cell a
+        # number or a few tokens, so that some drawn files are well formed.
+        cell = st.one_of(
+            st.integers(0, 99).map(b"%d".__mod__),
+            st.lists(st.sampled_from(self.TOKENS), max_size=3).map(b"".join),
+        )
+
+        @st.composite
+        def files(draw):
+            rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            line = st.lists(cell, min_size=cols, max_size=cols).map(b",".join)
+            body = draw(st.lists(line, min_size=rows - 1, max_size=rows + 1))
+            return b"\n".join([b"%d,%d" % (rows, cols), *body])
+
+        @hypothesis.settings(
+            max_examples=150, deadline=None, database=None, derandomize=True
+        )
+        @hypothesis.given(files())
+        def check(data):
+            path.write_bytes(data)
+            want = self._outcome(self._read_strict, path)
+            for k in (1, 2):  # one usable CPU parses in process
+                split(k)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert self._outcome(linalg.read_matrix_csv, path) == want
+                self._assert_no_child_left()
+
+        check()
 
     # Files whose body, cut into k ranges, splits where ``where(data, cuts)``
     # says, given each cut's (offset, line end).
@@ -789,6 +841,41 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         assert np.array_equal(out, M)
         assert peak < 1.1 * M.nbytes
 
+    # A fresh interpreter reads argv[1] in process, as with one usable CPU,
+    # three times, then prints the minor page faults of a fourth read.
+    REPEAT_READ = """
+import os, resource, sys
+from nmfkit import linalg
+
+os.sched_getaffinity = lambda pid: {0}
+for _ in range(3):
+    linalg.read_matrix_csv(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+linalg.read_matrix_csv(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or platform.libc_ver()[0] != "glibc"
+        or "MALLOC_MMAP_THRESHOLD_" in os.environ,
+        reason="needs glibc's dynamic mmap threshold",
+    )
+    def test_repeated_in_process_read_maps_no_fresh_pages(self, tmp_path):
+        # glibc serves the 2.75 MiB output from mmap and, once it is freed,
+        # raises its mmap threshold to that block's size. A read that asks
+        # loadtxt for exactly that size again is then served from the heap
+        # it already touched; a larger request would be mapped afresh.
+        M = np.random.default_rng(15).uniform(100, 200, (600, 600))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.REPEAT_READ, str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100
+
     def test_read_peak_memory_near_output_size(self, tmp_path):
         M = np.random.default_rng(9).uniform(100, 200, (200, 200))
         path = tmp_path / "m.csv"
@@ -835,8 +922,7 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
             (b"2,2\r\n1,2\r\n\r\n3,4\xc3\xa9\r\n", 4),
             # Past the text decoder's first 8 KiB chunk, so loadtxt meets it.
             (b"1000,1\n" + b"1.2345678901234567\n" * 999 + b"\x80\n", 1001),
-            # Past the first 64 KiB scanned for it, with that chunk ending
-            # between the "\r" and "\n" of one line end (bytes 65535-65536).
+            # Past 21844 "\r\n" line ends, one of them at bytes 65535-65536.
             (b"21843,1\r\n\r\n" + b"1\r\n" * 21842 + b"\x80\r\n", 21845),
         ],
         ids=["body", "header", "crlf-and-blank", "past-first-chunk", "crlf-across-chunks"],
@@ -847,3 +933,15 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         with pytest.raises(CsvFormatError, match="is not ASCII") as err:
             linalg.read_matrix_csv(path)
         assert err.value.line == line
+
+    def test_non_ascii_error_peak_memory(self, tmp_path):
+        # Reading the whole file takes about three times its size; naming the
+        # byte's line takes no more than that.
+        M = np.random.default_rng(23).uniform(100, 200, (600, 600))
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, M)
+        data = path.read_bytes()
+        path.write_bytes(data[:-2] + b"\x80\n")
+        got, peak = traced_peak(self._outcome, linalg.read_matrix_csv, path)
+        assert got == ("error", "line 601: byte 0x80 is not ASCII", 601)
+        assert peak < 3.5 * len(data)
