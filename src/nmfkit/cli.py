@@ -16,7 +16,9 @@ import sys
 
 import numpy as np
 
-from . import bench, datagen, diagnostics, linalg, solvers, verify
+# bench, datagen and verify are imported by the commands that use them, so
+# factorize does not pay for them.
+from . import diagnostics, linalg, solvers
 from .errors import (
     ContractViolationError,
     CsvFormatError,
@@ -158,6 +160,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     if args.preset == "sim1":
         result = bench.sim1_run(**_given(scale=args.scale, seed=args.seed))
         bench.sim1_write_outputs(args.out, result)
@@ -250,6 +254,8 @@ def solve_bss(
     400)), ``tol`` 1e-8 and at most 1000 iterations. Returns ``(pair,
     trace)`` from :func:`solvers.solve`.
     """
+    from . import datagen
+
     rank = datagen.BSS_NUM_SOURCES
     rng = np.random.default_rng([scenario.seed, 1])
     W0 = linalg.normalize_columns(
@@ -261,6 +267,8 @@ def solve_bss(
 
 
 def cmd_bss(args) -> int:
+    from . import datagen
+
     scenario = datagen.BssScenario(
         **_given(
             noise_variance=args.noise_var,
@@ -301,6 +309,8 @@ def cmd_bss(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import datagen
+
     if args.kind == "dense":
         M = datagen.generate_dense_uniform(args.n, args.m, args.lo, args.hi, args.seed)
     else:
@@ -311,6 +321,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_all(quick=args.quick, **_given(seed=args.seed))
     failed = False
     for res in results:

@@ -313,31 +313,27 @@ def read_matrix_csv(path) -> np.ndarray:
     a seekable file of known size.
 
     A well-formed file is parsed by numpy's C reader (``np.loadtxt``). The
-    body after the header is split when the platform has
-    ``os.sched_getaffinity`` and ``os.fork`` (Linux), at least two CPUs are
-    usable, the body holds at least twice ``_PARALLEL_MIN_BYTES`` bytes and
-    only one Python thread runs. It is then cut at line ends into one byte
-    range per usable CPU, none shorter than that constant; a forked child
-    parses each range and writes its rows through a pipe straight into the
-    output, so the parse runs on every usable CPU while this process
-    allocates the output once and holds one copy of the matrix. Each child
-    reads its range through a 64 KiB buffer and asks ``loadtxt`` for about
-    ``_BLOCK_BYTES`` of rows at a time, holding no batch of text. The first
-    sends each block of rows as it parses it; each later one holds its rows
-    until this process reaches its pipe. So while they run, the children
-    hold at most one more copy of the matrix (half of one with two CPUs).
-    Otherwise, and when no pipe or child can be had, the body is parsed in
-    this process, fed line by line from the open file to one ``loadtxt``
-    call for the header's count of rows, so the output is allocated once at
-    its final size and the peak memory is that output plus a few line
-    buffers; one more call finds any further row. The result is kept only
-    when it holds the header's count of rows of its count of values and
-    every entry is finite. Otherwise, and whenever ``loadtxt`` rejects the
-    file, a byte is not ASCII or a child fails, the strict line-by-line
-    parser reads the whole file again. It defines what this function
-    accepts and raises every format error, a non-ASCII byte's included, so
-    a file gives the same array, or the same error, on either path and
-    however its body is split.
+    body after the header is cut at line ends into one byte range per usable
+    CPU, none shorter than ``_PARALLEL_MIN_BYTES``, when the platform has
+    ``os.sched_getaffinity`` and ``os.fork`` (Linux) and only one Python
+    thread runs. This process parses the first range in one ``loadtxt``
+    call for the header's count of rows, so that block is allocated once at
+    the output's final size and resized to hold the rest. A forked
+    child parses each further range (one child with two CPUs), reading it
+    through a 64 KiB buffer and asking ``loadtxt`` for about
+    ``_BLOCK_BYTES`` of rows at a time. It holds its rows until this process
+    reads its pipe, straight into the output. So the parse runs on every
+    usable CPU, this process holds one copy of the matrix, and the children
+    hold at most one more (half of one with two CPUs). With one range, and
+    when no pipe or child can be had, this process parses the whole body,
+    fed line by line from the open file, and one more call finds any
+    further row. The result is kept only when it holds the header's count
+    of rows of its count of values and every entry is finite. Otherwise,
+    and whenever ``loadtxt`` rejects the file, a byte is not ASCII or a
+    child fails, the strict line-by-line parser reads the whole file again.
+    It defines what this function accepts and raises every format error, a
+    non-ASCII byte's included, so a file gives the same array, or the same
+    error, however its body is split.
 
     Raises :class:`CsvFormatError` with the 1-based line number on any
     malformed header, row, or value, including a non-finite one and a
@@ -371,14 +367,16 @@ def _seekable_copy(src):
 # to the strict parser.
 _STRICT_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
-# The fewest body bytes per forked parser. On a 2-CPU x86 VM, from a 48 MB
-# process, a split read costs about 3 ms more than its parse (the forks and
-# pipes), and it broke even with the in-process parse at about 350 KiB per
-# range: 6.2 against 6.4 ms for a 702 KiB body, 9.5 against 12.7 ms for
-# 1404 KiB. The constant sits above that because a fork costs more from a
-# caller holding more memory. It rests on that one timing: no benchmark
-# workload reads a body under 1 MiB or from a large caller, and
-# os.sched_getaffinity counts CPUs that a cgroup quota may not grant.
+# The fewest body bytes per range. On a 2-CPU x86 VM, alternating 20 reads
+# each of 250 KiB to 2 MiB bodies of 100-column rows, a one-fork split broke
+# even with the one-range parse at about 750 KiB of body from a 50 MB caller
+# (0.99x; 0.91x at 1 MiB, 0.67x at 2 MiB) and between 1 and 1.5 MiB from a
+# 500 MB one (1.14x at 1 MiB, 0.89x at 1.5 MiB). These count only points
+# where a busy sibling process did not slow a CPU loop; while the VM gave two
+# busy processes one CPU's throughput, the split lost at every size up to
+# 1 MiB. So two ranges of this size sit between the two break-evens. No
+# benchmark workload reads a body under 1 MiB or from a large caller, and
+# os.sched_getaffinity counts CPUs that a host or cgroup quota may not grant.
 _PARALLEL_MIN_BYTES = 1 << 19
 
 # About how many bytes of rows a forked parser asks loadtxt for at once.
@@ -437,15 +435,14 @@ def _read_loadtxt(fh):
     if 2 * rows * cols > os.fstat(fh.fileno()).st_size - len(header) + 1:
         return None
     ranges = _range_count(_body_bytes(fh))
-    if ranges > 1:
-        try:
-            out = _read_ranges(fh, ranges, rows, cols)
-        except OSError:
-            # No pipe or child to be had (EAGAIN near the process limit,
-            # ENOMEM, EMFILE); fh has not moved, so the body is parsed here.
-            ranges = 1
-    if ranges == 1:
-        out = _read_in_process(fh, rows, cols)
+    try:
+        out = _read_body(fh, ranges, rows, cols)
+    except OSError:
+        if ranges == 1:
+            raise
+        # No pipe or child to be had (EAGAIN near the process limit, ENOMEM,
+        # EMFILE); fh has not moved, so the body is parsed as one range.
+        out = _read_body(fh, 1, rows, cols)
     if out is None or _first_non_finite(out) is not None:
         return None
     return out
@@ -461,30 +458,15 @@ def _body_bytes(fh):
 
 
 def _range_count(body) -> int:
-    """How many forked parsers a body of ``body`` bytes is split across: one
-    per usable CPU, each given at least ``_PARALLEL_MIN_BYTES``; 1 means
-    parse it in this process."""
+    """How many byte ranges a body of ``body`` bytes is cut into: one per
+    usable CPU, each of at least ``_PARALLEL_MIN_BYTES``. This process parses
+    the first and a forked child each further one."""
     if body is None or not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     # Another Python thread could hold a lock the child needs.
     if threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), body // _PARALLEL_MIN_BYTES))
-
-
-def _read_in_process(fh, rows, cols):
-    """Parse the rest of ``fh`` line by line: its ``(rows, cols)`` array, or
-    None when it holds other than ``rows`` rows of ``cols`` values."""
-    try:
-        # One block of the header's count of rows, which numpy allocates at
-        # its final size; a further row starts a second block.
-        blocks = _row_blocks(fh, cols, rows)
-        out = next(blocks)
-        if len(out) < rows or len(next(blocks, ())):
-            return None
-    except ValueError:
-        return None
-    return out
 
 
 def _line_end(fd, pos) -> int:
@@ -518,40 +500,55 @@ def _fork() -> int:
     return pid
 
 
-def _read_ranges(fh, ranges, rows, cols):
-    """Parse the rest of ``fh`` in ``ranges`` forked children, one byte range
-    each, cut just after a ``\\n``, and read their rows, in order, into one
-    ``(rows, cols)`` array. None when a child exits non-zero or the children
-    send other than ``rows * cols`` values; ``OSError`` when a pipe, fork or
-    read fails.
+def _read_body(fh, ranges, rows, cols):
+    """Parse the rest of ``fh`` into its ``(rows, cols)`` array: None when it
+    holds other than ``rows`` rows of ``cols`` values or a child exits
+    non-zero; ``OSError`` when a pipe, fork or read fails.
 
-    Offsets are read with ``os.pread``, which leaves the descriptor's shared
-    offset alone, so ``fh`` can still be read on or rewound.
+    The body is cut just after a ``\\n`` into ``ranges`` byte ranges. A
+    forked child parses each range after the first and holds its rows; this
+    process meanwhile parses the first in one ``loadtxt`` block of the
+    header's count of rows, resizes that block to the output's shape and
+    then reads the children's rows, in order, into it. One range is read
+    from ``fh`` itself, whose offset may not be a byte offset; the ranges
+    are read with ``os.pread``, which leaves the descriptor's shared offset
+    alone, so ``fh`` can still be read on or rewound.
     """
-    fd = fh.fileno()
-    start, end = fh.tell(), os.fstat(fd).st_size
-    bounds = [start]
-    for i in range(1, ranges):
-        cut = max(bounds[-1], start + i * (end - start) // ranges)
-        bounds.append(_line_end(fd, cut))
-    bounds.append(end)
-    reads, pids = [], []
+    text, reads, pids = fh, [], []
     try:
-        for a, b in zip(bounds, bounds[1:]):
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                pid = _fork()
-                if pid == 0:
-                    _parse_range_and_exit(fd, a, b, cols, w, reads, a > start)
-                pids.append(pid)
-            finally:
-                # A later child must not inherit this write end, or the pipe
-                # would stay open after this child exits.
-                os.close(w)
-        out = np.empty((rows, cols))
+        if ranges > 1:
+            fd = fh.fileno()
+            start, end = fh.tell(), os.fstat(fd).st_size
+            bounds = [start]
+            for i in range(1, ranges):
+                cut = max(bounds[-1], start + i * (end - start) // ranges)
+                bounds.append(_line_end(fd, cut))
+            bounds.append(end)
+            for a, b in zip(bounds[1:], bounds[2:]):
+                r, w = os.pipe()
+                reads.append(r)
+                try:
+                    pid = _fork()
+                    if pid == 0:
+                        _parse_range_and_exit(_range_text(fd, a, b), cols, w, reads)
+                    pids.append(pid)
+                finally:
+                    # A later child must not inherit this write end, or the
+                    # pipe would stay open after this child exits.
+                    os.close(w)
+            text = _range_text(fd, start, bounds[1])
+        try:
+            blocks = _row_blocks(text, cols, rows)
+            out = next(blocks)
+            if len(next(blocks, ())):
+                return None
+        except ValueError:
+            return None
+        pos = out.nbytes
+        # loadtxt's block owns its data, so it can be resized; no second
+        # array is made.
+        out.resize((rows, cols), refcheck=False)
         view = memoryview(out).cast("B")
-        pos = 0
         for r in reads:
             pos = _drain(r, view, pos)
             if pos is None:
@@ -595,32 +592,30 @@ class _RangeReader(io.RawIOBase):
         return len(data)
 
 
-def _parse_range_and_exit(fd, a, b, cols, w, reads, hold):
-    """In a forked child: parse bytes ``[a, b)`` of ``fd``, write the rows to
-    ``w`` as float64 and exit 0; exit 1 when a row does not hold ``cols``
-    values or anything fails. Never returns.
+def _range_text(fd, a, b):
+    """Bytes ``[a, b)`` of ``fd`` as ASCII text, read through a 64 KiB
+    buffer."""
+    return io.TextIOWrapper(
+        io.BufferedReader(_RangeReader(fd, a, b), 1 << 16), encoding="ascii"
+    )
 
-    The range is read through a 64 KiB buffer and parsed about
-    ``_BLOCK_BYTES`` of rows at a time. The parent drains the pipes in order,
-    so the first range writes each block at once; a later range (``hold``)
-    keeps its rows until the end, so that it parses on while the parent
-    drains the ranges before it instead of waiting on a full pipe.
+
+def _parse_range_and_exit(text, cols, w, reads):
+    """In a forked child: parse ``text`` about ``_BLOCK_BYTES`` of rows at a
+    time, then write the rows to ``w`` as float64 and exit 0; exit 1 when a
+    row does not hold ``cols`` values or anything fails. Never returns.
+
+    The rows are held until the range is parsed: the parent reads no pipe
+    before its own range is parsed, so a child writing on would wait on a
+    full pipe instead of parsing.
     """
     code = 1
     try:
         for r in reads:
             os.close(r)
-        text = io.TextIOWrapper(
-            io.BufferedReader(_RangeReader(fd, a, b), 1 << 16), encoding="ascii"
-        )
-        held = []
+        blocks = list(_row_blocks(text, cols, max(1, _BLOCK_BYTES // (8 * cols))))
         with open(w, "wb") as pipe:
-            for block in _row_blocks(text, cols, max(1, _BLOCK_BYTES // (8 * cols))):
-                if hold:
-                    held.append(block)
-                else:
-                    pipe.write(block)
-            for block in held:
+            for block in blocks:
                 pipe.write(block)
         code = 0
     finally:

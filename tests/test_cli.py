@@ -387,7 +387,8 @@ class TestReproducibility:
                     trace, capsys.readouterr().out,
                 )
             )
-        assert len(forks) == 2
+        # One child parses the second range; one CPU parses in process.
+        assert len(forks) == 1
         assert runs[0] == runs[1]
         assert len(runs[0][2]) > 2
 
@@ -799,3 +800,17 @@ class TestParser:
         assert err.startswith("usage: nmfkit ")
         assert f"argument --seed: seed must be a nonnegative integer, got '{seed}'" in err
         assert "Traceback" not in err
+
+    def test_import_leaves_command_only_modules_unloaded(self):
+        # bench, datagen and verify load with the commands that use them, so
+        # a factorize run does not import them.
+        code = (
+            "import sys, nmfkit.cli; "
+            "print(sorted(m for m in ('nmfkit.bench', 'nmfkit.datagen', "
+            "'nmfkit.verify') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -538,16 +538,18 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
             os.waitpid(-1, os.WNOHANG)
 
     @needs_fork
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
     def test_split_reader_matches_strict_parser(self, tmp_path, split, name, k):
         path = tmp_path / "m.csv"
         self._write_case(path, name)
-        split(k)
+        forks, cuts = split(k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = self._outcome(linalg.read_matrix_csv, path)
         self._assert_no_child_left()
+        # A child per range after the first, which this process parses.
+        assert len(forks) == len(cuts) < k
         assert got == self._outcome(self._read_strict, path)
 
     # What drawn files are made of: every byte class the two parsers treat
@@ -589,6 +591,11 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
 
         check()
 
+    # A ragged row in the first range, which this process parses, before
+    # well-formed ranges that each hold more rows than a pipe takes, so a
+    # child still writing when the read gives up must exit too.
+    RAGGED_FIRST = b"15002,2\n1,2\n3\n" + b"5.5,6.5\n" * 15000
+
     # Files whose body, cut into k ranges, splits where ``where(data, cuts)``
     # says, given each cut's (offset, line end).
     SPLIT = {
@@ -614,6 +621,12 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         "extra-row-in-last-range": (
             3, b"2,2\n1,2\n" + b"\n" * 30 + b"3,4\n" + b"\n" * 30 + b"5,6\n",
             lambda d, cuts: b"5,6" in d[cuts[1][1] :],
+        ),
+        "ragged-row-in-first-of-2-ranges": (
+            2, RAGGED_FIRST, lambda d, cuts: b"\n3\n" in d[: cuts[0][1]],
+        ),
+        "ragged-row-in-first-of-3-ranges": (
+            3, RAGGED_FIRST, lambda d, cuts: b"\n3\n" in d[: cuts[0][1]],
         ),
         "ragged-row-in-middle-range": (
             3, b"3,2\n1,2\n" + b"\n" * 30 + b"3\n" + b"\n" * 30 + b"5,6\n",
@@ -641,7 +654,8 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
             got = self._outcome(linalg.read_matrix_csv, path)
         self._assert_no_child_left()
         assert where(data, cuts)
-        assert len(forks) == (len(cuts) + 1 if cuts else 0)
+        # This process parses the first range and a child each further one.
+        assert len(forks) == len(cuts)
         # The strict parser alone decides, as when the fast path gives up.
         monkeypatch.setattr(linalg, "_read_loadtxt", lambda fh: None)
         assert got == self._outcome(linalg.read_matrix_csv, path)
@@ -649,11 +663,11 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
     @staticmethod
     def _count_calls(monkeypatch, name):
         """Replace ``linalg.<name>`` by a wrapper and return the list it
-        appends to on each call in this process."""
+        appends each call's arguments to in this process."""
         calls, inner = [], getattr(linalg, name)
 
         def counted(*args):
-            calls.append(True)
+            calls.append(args)
             return inner(*args)
 
         monkeypatch.setattr(linalg, name, counted)
@@ -682,11 +696,12 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
             monkeypatch.setattr(os, "pipe", no_pipe)
         else:
             monkeypatch.setattr(linalg, "_fork", failing_fork)
-        in_process = self._count_calls(monkeypatch, "_read_in_process")
+        bodies = self._count_calls(monkeypatch, "_read_body")
         strict = self._count_calls(monkeypatch, "_read_strict")
         out = linalg.read_matrix_csv(path)
         assert np.array_equal(out, M)
-        assert len(in_process) == 1 and not strict
+        # Three ranges fail to set up, so the body is parsed as one.
+        assert [ranges for _, ranges, _, _ in bodies] == [3, 1] and not strict
         assert len(forks) == {"pipe": 0, "first-fork": 0, "second-fork": 1}[failing]
         self._assert_no_child_left()
 
@@ -710,14 +725,16 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         monkeypatch.setattr(os, "pread", short_pread)
         strict = self._count_calls(monkeypatch, "_read_strict")
         out = linalg.read_matrix_csv(path)
-        assert len(forks) == k and not strict
+        assert len(forks) == k - 1 and not strict
         assert out.tobytes() == M.tobytes()
         self._assert_no_child_left()
 
     @needs_fork
     def test_children_parse_in_bounded_blocks(self, tmp_path, monkeypatch, split):
         # The children ask loadtxt for about _BLOCK_BYTES of rows at once, not
-        # their whole range. Each reports its block sizes through a file.
+        # their whole range; this process parses the first range in one block
+        # of the header's count of rows. Each reports its block sizes through
+        # a file.
         M = np.random.default_rng(21).uniform(100, 200, (300, 300))
         path, log = tmp_path / "m.csv", tmp_path / "blocks"
         linalg.write_matrix_csv(path, M)
@@ -734,10 +751,11 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         monkeypatch.setattr(linalg, "_row_blocks", logged_row_blocks)
         assert np.array_equal(linalg.read_matrix_csv(path), M)
         blocks = [line.split() for line in log.read_text().splitlines()]
-        assert len({pid for pid, _ in blocks}) == 2
-        assert str(os.getpid()) not in {pid for pid, _ in blocks}
-        assert len(blocks) > 20
-        assert max(int(rows) for _, rows in blocks) * M[0].nbytes <= 1 << 15
+        mine = [int(rows) for pid, rows in blocks if pid == str(os.getpid())]
+        theirs = [int(rows) for pid, rows in blocks if pid != str(os.getpid())]
+        assert len({pid for pid, _ in blocks}) == 2 and len(mine) == 1
+        assert mine[0] + sum(theirs) == len(M)
+        assert max(theirs) * M[0].nbytes <= 1 << 15
         self._assert_no_child_left()
 
     @needs_fork
@@ -756,7 +774,7 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         monkeypatch.setattr(linalg, "_read_strict", counted_read_strict)
         monkeypatch.setattr(linalg, "_parse_range_and_exit", lambda *args: os._exit(3))
         assert np.array_equal(linalg.read_matrix_csv(path), M)
-        assert len(forks) == 2 and len(strict_reads) == 1
+        assert len(forks) == 1 and len(strict_reads) == 1
         self._assert_no_child_left()
 
     @needs_fork
@@ -772,7 +790,7 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
             out = linalg.read_matrix_csv(path)
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert np.array_equal(out, M)
         self._assert_no_child_left()
 
@@ -795,14 +813,14 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         assert np.array_equal(out, M)
 
     @needs_fork
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_split_read_allocates_output_once(self, tmp_path, split, k):
         M = np.random.default_rng(15).uniform(100, 200, (600, 600))
         path = tmp_path / "m.csv"
         linalg.write_matrix_csv(path, M)
         forks, _ = split(k)
         out, peak = traced_peak(linalg.read_matrix_csv, path)
-        assert len(forks) == k
+        assert len(forks) == k - 1
         assert np.array_equal(out, M)
         assert peak < 1.1 * M.nbytes
         self._assert_no_child_left()
