@@ -14,6 +14,7 @@ import io
 import numbers
 import os
 import shutil
+import signal
 import tempfile
 import threading
 import warnings
@@ -197,11 +198,13 @@ def gram_objective(V, W, H, v_sq: float, cross: float, WtW, HHt) -> float:
 
 
 def pair_objective(V, W, H, v_sq: float):
-    """``(f, (W^T V, W^T W, H H^T))``: :func:`gram_objective` of ``(W, H)``
-    and the products it forms, which a map hands on with the pair."""
-    WtV, WtW, HHt = W.T @ V, W.T @ W, H @ H.T
-    f = gram_objective(V, W, H, v_sq, float(np.vdot(WtV, H)), WtW, HHt)
-    return f, (WtV, WtW, HHt)
+    """``(f, (V H^T, W^T W, H H^T))``: :func:`gram_objective` of ``(W, H)``
+    and the products it forms, which a map hands on with the pair. ``V H^T``
+    is the cross product carried because every multiplicative W step reads
+    it, MU's included, while only PARINOM's H step reads ``W^T V``."""
+    VHt, WtW, HHt = V @ H.T, W.T @ W, H @ H.T
+    f = gram_objective(V, W, H, v_sq, float(np.vdot(VHt, W)), WtW, HHt)
+    return f, (VHt, WtW, HHt)
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:
@@ -512,9 +515,11 @@ def _read_body(fh, ranges, rows, cols):
     then reads the children's rows, in order, into it. One range is read
     from ``fh`` itself, whose offset may not be a byte offset; the ranges
     are read with ``os.pread``, which leaves the descriptor's shared offset
-    alone, so ``fh`` can still be read on or rewound.
+    alone, so ``fh`` can still be read on or rewound. When the read fails,
+    the children are killed, not waited for, so the strict parser starts at
+    once.
     """
-    text, reads, pids = fh, [], []
+    text, reads, pids, done = fh, [], [], False
     try:
         if ranges > 1:
             fd = fh.fileno()
@@ -555,12 +560,25 @@ def _read_body(fh, ranges, rows, cols):
                 return None
         if pos != len(view):
             return None
+        done = True
     finally:
-        # A child still writing meets a closed pipe and exits.
         for r in reads:
             os.close(r)
+        if not done:
+            # The outcome is known; a child may still be parsing its range.
+            _kill(pids)
         statuses = [_wait(pid) for pid in pids]
     return None if any(statuses) else out
+
+
+def _kill(pids) -> None:
+    """Send SIGKILL to each child in ``pids`` that has not been reaped."""
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            # Reaped already by the kernel, as with SIGCHLD ignored.
+            pass
 
 
 def _wait(pid) -> int:

@@ -30,7 +30,7 @@ products=None) -> (pair, info)``. Given ``v_sq = ||V||_F**2``,
 without it the objective is not evaluated.
 
 The products carry: each product is formed once across consecutive calls.
-``products`` is ``(W^T V, W^T W, H H^T)`` of a pair, with None for an entry
+``products`` is ``(V H^T, W^T W, H H^T)`` of a pair, with None for an entry
 the map did not form. With ``v_sq`` a map hands on, as
 ``info["products"]``, the products of the pair it returns that its
 objective formed, and the same map's next call, given them as
@@ -42,8 +42,11 @@ carried run and an uncarried run are bitwise equal. ``products=None`` means
 products.
 
   * PARINOM hands on all three (:func:`linalg.pair_objective`) and its step
-    reads all three;
-  * MU hands on ``(None, None, H H^T)`` and its W step reads ``H H^T``;
+    reads all three, so a carried call forms two O(nmr) products, the step's
+    ``W^T V`` and the objective's ``V H'^T`` (three uncarried);
+  * MU hands on ``(None, None, H H^T)`` and its W step reads ``H H^T``, and
+    ``V H^T`` too when it is given, as a SQUAREM candidate's products give
+    it;
   * Fast-HALS hands on ``(None, W^T W, H H^T)`` and its H sweep reads
     ``W^T W``;
   * INOM hands on none and ignores the keyword.
@@ -374,13 +377,13 @@ def parinom_update(V, W, H, *, products=None):
     they are evaluated does not matter. Entries are floored at
     ``POSITIVITY_FLOOR`` afterwards because the multiplicative form needs
     strictly positive factors on the next call. ``products`` is
-    ``(W^T V, W^T W, H H^T)`` of (W, H) when the caller already holds them;
-    when None they are formed here. Neither the inputs nor the products are
-    written.
+    ``(V H^T, W^T W, H H^T)`` of (W, H) when the caller already holds them;
+    when None they are formed here. ``W^T V`` is always formed here. Neither
+    the inputs nor the products are written.
     """
-    WtV, WtW, HHt = (W.T @ V, W.T @ W, H @ H.T) if products is None else products
-    Wn = _ratio_step(V @ H.T, W @ HHt, W, "W", quarter=True)
-    Hn = _ratio_step(WtV, WtW @ H, H, "H", quarter=True)
+    VHt, WtW, HHt = (V @ H.T, W.T @ W, H @ H.T) if products is None else products
+    Wn = _ratio_step(VHt, W @ HHt, W, "W", quarter=True)
+    Hn = _ratio_step(W.T @ V, WtW @ H, H, "H", quarter=True)
     return Wn, Hn
 
 
@@ -390,10 +393,10 @@ def parinom_iterate(
     """Full PARINOM iteration: the joint W/H update of :func:`parinom_update`,
     both factors computed from the incoming pair, then W renormalized.
 
-    With ``v_sq`` the objective forms the returned pair's ``W'^T V``,
+    With ``v_sq`` the objective forms the returned pair's ``V H'^T``,
     ``W'^T W'`` and ``H' H'^T``, and ``info["products"]`` hands them on. Given
-    the incoming pair's products, the step forms only ``V H^T`` and the
-    objective's ``W'^T V``: two O(nmr) products per iteration instead of
+    the incoming pair's products, the step forms only ``W^T V`` and the
+    objective's ``V H'^T``: two O(nmr) products per iteration instead of
     three.
     """
     Wn, Hn = parinom_update(V, state.W, state.H, products=products)
@@ -418,8 +421,10 @@ def mu_iterate(
     denominator, which keeps exact factorizations fixed points of the map.
     Each update is PARINOM's floored ratio step without the quarter power,
     written into its own denominator. W is renormalized (scales moved into
-    H) after the pair of updates. The W step reads ``H H^T`` from
-    ``products[2]`` when it is given.
+    H) after the pair of updates. The W step reads ``V H^T`` from
+    ``products[0]`` and ``H H^T`` from ``products[2]`` when they are given;
+    MU itself hands on no ``V H^T``, but a SQUAREM candidate scored by
+    :func:`linalg.pair_objective` carries one.
 
     With ``v_sq`` the objective reuses the H step's ``W'^T V``, rescales its
     ``W'^T W'`` by the column norms (O(r^2)) and forms ``H H^T`` of the
@@ -428,8 +433,10 @@ def mu_iterate(
     """
     W, H = state.W, state.H
     HHt = H @ H.T if products is None or products[2] is None else products[2]
+    VHt = V @ H.T if products is None or products[0] is None else products[0]
     products = None  # drop the incoming products before forming the new ones
-    Wn = _ratio_step(V @ H.T, W @ HHt, W, "MU W")
+    Wn = _ratio_step(VHt, W @ HHt, W, "MU W")
+    VHt = None  # n x r, not needed by the H step
     WtW = Wn.T @ Wn
     WtV = Wn.T @ V
     Hn = _ratio_step(WtV, WtW @ H, H, "MU H")

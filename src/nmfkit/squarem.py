@@ -14,18 +14,19 @@ Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
 value from the caller (``solve`` already holds it) and the two-step
 iterate's value from the base map. Each extrapolated candidate costs one
 Gram-form evaluation (:func:`linalg.pair_objective`), whose only O(nmr)
-product is ``W^T V``. No step builds the n x m residual, except where the
+product is ``V H^T``. No step builds the n x m residual, except where the
 Gram form falls back to the exact value near a perfect fit. The accepted
-candidate's value and products are returned in :class:`AccelState`, and
-the next step hands those products to its first base application, which
-reads the ones its step needs: all three for PARINOM, ``H H^T`` for MU and
-``W^T W`` for Fast-HALS. An accelerated PARINOM step so forms 5 + b O(nmr)
-products, where b is the backtrack count: one in the first base
-application, three in the second (its objective included) and one per
-extrapolated candidate. An accelerated MU step forms one Gram matrix of H,
-an O(r^2 m) product, fewer than two uncarried MU calls: its first base
-application reads the ``H H^T`` that the previous step's accepted pair
-carries.
+candidate's value and products ``(V H^T, W^T W, H H^T)`` are returned in
+:class:`AccelState`, and the next step hands those products to its first
+base application, which reads the ones its step needs: all three for
+PARINOM, ``V H^T`` and ``H H^T`` for MU, and ``W^T W`` for Fast-HALS. With b
+the backtrack count, an accelerated PARINOM step so forms 5 + b O(nmr)
+products: one in the first base application, three in the second (its
+objective included) and one per extrapolated candidate. An accelerated MU
+step forms 4 + b: one in the first base application, two in the second and
+one per candidate. A step whose products are not given forms one more,
+and so does an MU step from an accepted two-step iterate, whose products
+hold no ``V H^T``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class AccelState:
     """Outcome of one accelerated step. ``alpha`` is the accepted step length
     of the pair, -1 for the two-step iterate. ``objective`` is that of the
     pair :func:`squarem_step` returns with it, and ``products`` that pair's
-    ``(W^T V, W^T W, H H^T)`` for the next step's ``products=``. When the
+    ``(V H^T, W^T W, H H^T)`` for the next step's ``products=``. When the
     accepted pair is the two-step iterate they are what the base map handed
     on with it: None in each entry it did not form, or None in place of the
     tuple for a map that hands on none."""

@@ -103,11 +103,21 @@ def fd_gradient_h(V, W, H, step=1e-5):
 class MatmulCounter(np.ndarray):
     """A view of V that counts the matrix products it takes part in, i.e. the
     O(nmr) products of a step; products of the factors alone are not seen.
+    Views of it, such as ``V.T``, add to the same count.
 
     Use ``V = V.view(MatmulCounter)`` and read or reset ``V.calls``.
     """
 
-    calls = 0
+    def __array_finalize__(self, obj):
+        self._count = getattr(obj, "_count", None) or [0]
+
+    @property
+    def calls(self):
+        return self._count[0]
+
+    @calls.setter
+    def calls(self, n):
+        self._count[0] = n
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:

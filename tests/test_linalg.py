@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -776,6 +777,32 @@ sys.stdout.buffer.write(pickle.dumps(outcome))
         assert np.array_equal(linalg.read_matrix_csv(path), M)
         assert len(forks) == 1 and len(strict_reads) == 1
         self._assert_no_child_left()
+
+    @needs_fork
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_failed_read_kills_children_still_parsing(
+        self, tmp_path, monkeypatch, split, k
+    ):
+        # The range this process parses holds a ragged row, so the outcome is
+        # known while the children, here 60 s each, still parse theirs.
+        path = tmp_path / "m.csv"
+        path.write_bytes(self.RAGGED_FIRST)
+        forks, cuts = split(k)
+
+        def slow_child(*args):
+            try:
+                time.sleep(60)
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(linalg, "_parse_range_and_exit", slow_child)
+        start = time.monotonic()
+        got = self._outcome(linalg.read_matrix_csv, path)
+        assert time.monotonic() - start < 10
+        self._assert_no_child_left()
+        assert len(forks) == k - 1 and b"\n3\n" in self.RAGGED_FIRST[: cuts[0][1]]
+        assert got == self._outcome(self._read_strict, path)
+        assert got[0] == "error"
 
     @needs_fork
     def test_read_with_sigchld_ignored(self, tmp_path, split):

@@ -676,7 +676,7 @@ class TestTraceObjective:
 
 
 def fresh_products(V, pair):
-    return pair.W.T @ V, pair.W.T @ pair.W, pair.H @ pair.H.T
+    return V @ pair.H.T, pair.W.T @ pair.W, pair.H @ pair.H.T
 
 
 def uncarried_solve(V, config, steps):
@@ -700,9 +700,20 @@ def uncarried_solve(V, config, steps):
     return state, np.array(f), backtracks
 
 
-# The maps that hand on products: (W^T V, W^T W, H H^T) of the returned pair,
+# The maps that hand on products: (V H^T, W^T W, H H^T) of the returned pair,
 # None for an entry the map does not form.
 CARRYING = [Algorithm.PARINOM, Algorithm.MU, Algorithm.FAST_HALS]
+
+# The O(nmr) products one call, or one accelerated step, forms: (handed the
+# products of its pair, handed none). Each backtrack adds one candidate's.
+PRODUCTS_PER_STEP = {
+    Algorithm.INOM: (2, 2),
+    Algorithm.PARINOM: (2, 3),
+    Algorithm.MU: (2, 2),
+    Algorithm.FAST_HALS: (2, 2),
+    Algorithm.ACC_PARINOM: (5, 6),
+    Algorithm.ACC_MU: (4, 5),
+}
 
 
 class TestProductCarry:
@@ -764,17 +775,31 @@ class TestProductCarry:
         if backtracks:
             assert [r.backtracks for r in trace.records[1:]] == backtracks
 
-    def test_parinom_forms_two_products_per_carried_call(self):
-        V, pair = random_instance(604, n=20, m=30, r=4)
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
+    def test_products_formed_per_carried_step(self, alg):
+        carried, first = PRODUCTS_PER_STEP[alg]
+        V, pair = random_instance(521, n=20, m=30, r=4)  # backtracks in 20 steps
         V = V.view(MatmulCounter)
         v_sq = float(np.vdot(V, V))
-        V.calls = 0
-        pair, info = parinom_iterate(V, pair, v_sq=v_sq)
-        assert V.calls == 3
-        for _ in range(10):
+        f, products, total = objective(V.view(np.ndarray), pair), None, 0
+        base = solvers._ACCELERATED.get(alg)
+        for k in range(21):
             V.calls = 0
-            pair, info = parinom_iterate(V, pair, v_sq=v_sq, products=info["products"])
-            assert V.calls == 2
+            if base is None:
+                pair, info = base_map(alg)(V, pair, v_sq=v_sq, products=products)
+                products, b = info.get("products"), 0
+            else:
+                pair, accel = squarem.squarem_step(
+                    V, pair, base_map(base), f0=f, v_sq=v_sq, products=products
+                )
+                f, products, b = accel.objective, accel.products, accel.backtracks
+                # An accepted candidate, not a two-step iterate, so the next
+                # step's first application is handed V H^T.
+                assert products[0] is not None
+            assert V.calls == (carried if k else first) + b
+            total += b
+        # The count covers the backtracking candidates.
+        assert total > 0 or base is None
 
 
 class TestCallbackGuard:
