@@ -316,24 +316,26 @@ def read_matrix_csv(path) -> np.ndarray:
     a seekable file of known size.
 
     A well-formed file is parsed by numpy's C reader (``np.loadtxt``). The
-    body after the header is cut at line ends into one byte range per usable
-    CPU, none shorter than ``_PARALLEL_MIN_BYTES``, when the platform has
-    ``os.sched_getaffinity`` and ``os.fork`` (Linux) and only one Python
-    thread runs. This process parses the first range in one ``loadtxt``
-    call for the header's count of rows, so that block is allocated once at
-    the output's final size and resized to hold the rest. A forked
-    child parses each further range (one child with two CPUs), reading it
-    through a 64 KiB buffer and asking ``loadtxt`` for about
+    header is read from the binary file; a header that ``str.splitlines``
+    would end before its ``\\n`` (at a lone ``\\r``, say) is left to the
+    strict parser below. The body after it is cut at line ends into one
+    byte range per usable CPU, none shorter than ``_PARALLEL_MIN_BYTES``,
+    when the platform has ``os.sched_getaffinity`` and ``os.fork`` (Linux)
+    and only one Python thread runs; otherwise, and when no pipe or child
+    can be had, it is one range. Every range is read with ``os.pread``
+    through a 64 KiB buffer. This process parses the first range in one
+    ``loadtxt`` call for the header's count of rows, so that block is
+    allocated once at the output's final size and resized to hold the rest,
+    and one more call finds any further row. A forked child parses each
+    further range (one child with two CPUs), asking ``loadtxt`` for about
     ``_BLOCK_BYTES`` of rows at a time. It holds its rows until this process
     reads its pipe, straight into the output. So the parse runs on every
     usable CPU, this process holds one copy of the matrix, and the children
-    hold at most one more (half of one with two CPUs). With one range, and
-    when no pipe or child can be had, this process parses the whole body,
-    fed line by line from the open file, and one more call finds any
-    further row. The result is kept only when it holds the header's count
-    of rows of its count of values and every entry is finite. Otherwise,
-    and whenever ``loadtxt`` rejects the file, a byte is not ASCII or a
-    child fails, the strict line-by-line parser reads the whole file again.
+    hold at most one more (half of one with two CPUs). The result is kept
+    only when it holds the header's count of rows of its count of values
+    and every entry is finite. Otherwise, and whenever ``loadtxt`` rejects
+    the file, a byte is not ASCII or a child fails, the strict line-by-line
+    parser reads the whole file again, through a text wrapper.
     It defines what this function accepts and raises every format error, a
     non-ASCII byte's included, so a file gives the same array, or the same
     error, however its body is split.
@@ -343,12 +345,12 @@ def read_matrix_csv(path) -> np.ndarray:
     non-ASCII byte. An unopenable path raises ``OSError``.
     """
     with open(path, "rb") as src:
-        raw = src if src.seekable() else _seekable_copy(src)
-        with io.TextIOWrapper(raw, encoding="ascii") as fh:
-            out = _read_loadtxt(fh)
+        with (src if src.seekable() else _seekable_copy(src)) as raw:
+            out = _read_loadtxt(raw)
             if out is None:
-                fh.seek(0)
-                out = _read_strict(fh)
+                raw.seek(0)
+                with io.TextIOWrapper(raw, encoding="ascii") as fh:
+                    out = _read_strict(fh)
     return out
 
 
@@ -419,52 +421,48 @@ def _row_blocks(text, cols, count):
             return
 
 
-def _read_loadtxt(fh):
-    """The fast path of :func:`read_matrix_csv`: the parsed matrix, or None
-    when the strict parser must decide."""
+def _read_loadtxt(src):
+    """The fast path of :func:`read_matrix_csv` on the seekable binary file
+    ``src``, read from its start: the parsed matrix, or None when the strict
+    parser must decide. The header is read from ``src`` itself and the body
+    with ``os.pread``, so ``src`` can then be rewound."""
     try:
         # A non-ASCII byte raises UnicodeDecodeError, a ValueError.
-        header = fh.readline()
+        header = src.readline().decode("ascii")
         rows, cols = map(int, header.split(","))
     except ValueError:
         return None
-    if rows <= 0 or cols <= 0 or any(ch in header for ch in _STRICT_ONLY):
+    # str.splitlines, which the strict parser uses, also ends a line at a
+    # lone "\r" and at some _STRICT_ONLY characters; readline does not.
+    if rows <= 0 or cols <= 0 or len(header.splitlines()) > 1:
         return None
+    fd, start = src.fileno(), src.tell()
+    end = os.fstat(fd).st_size
     # A value takes at least two bytes, a digit and a comma or line end (the
     # last one may lack its line end). A header promising more values than
     # that is left to the strict parser, which counts rows before it
-    # allocates anything. With ASCII the header took len(header) bytes, or
-    # one more when "\r\n" ended it.
-    if 2 * rows * cols > os.fstat(fh.fileno()).st_size - len(header) + 1:
+    # allocates anything.
+    if 2 * rows * cols > end - start + 1:
         return None
-    ranges = _range_count(_body_bytes(fh))
+    ranges = _range_count(end - start)
     try:
-        out = _read_body(fh, ranges, rows, cols)
+        out = _read_body(fd, start, end, ranges, rows, cols)
     except OSError:
         if ranges == 1:
             raise
         # No pipe or child to be had (EAGAIN near the process limit, ENOMEM,
-        # EMFILE); fh has not moved, so the body is parsed as one range.
-        out = _read_body(fh, 1, rows, cols)
+        # EMFILE); the body is parsed as one range.
+        out = _read_body(fd, start, end, 1, rows, cols)
     if out is None or _first_non_finite(out) is not None:
         return None
     return out
-
-
-def _body_bytes(fh):
-    """How many bytes follow the header, or None when that is unknown."""
-    # With ASCII, one byte per character, tell() is the byte offset. After a
-    # header ended by a lone "\r" it also packs the newline decoder's state,
-    # which puts it above the file size.
-    pos, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    return size - pos if pos <= size else None
 
 
 def _range_count(body) -> int:
     """How many byte ranges a body of ``body`` bytes is cut into: one per
     usable CPU, each of at least ``_PARALLEL_MIN_BYTES``. This process parses
     the first and a forked child each further one."""
-    if body is None or not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     # Another Python thread could hold a lock the child needs.
     if threading.active_count() > 1:
@@ -503,47 +501,42 @@ def _fork() -> int:
     return pid
 
 
-def _read_body(fh, ranges, rows, cols):
-    """Parse the rest of ``fh`` into its ``(rows, cols)`` array: None when it
-    holds other than ``rows`` rows of ``cols`` values or a child exits
-    non-zero; ``OSError`` when a pipe, fork or read fails.
+def _read_body(fd, start, end, ranges, rows, cols):
+    """Parse bytes ``[start, end)`` of ``fd``, the body, into its
+    ``(rows, cols)`` array: None when it holds other than ``rows`` rows of
+    ``cols`` values or a child exits non-zero; ``OSError`` when a pipe, fork
+    or read fails.
 
     The body is cut just after a ``\\n`` into ``ranges`` byte ranges. A
     forked child parses each range after the first and holds its rows; this
     process meanwhile parses the first in one ``loadtxt`` block of the
     header's count of rows, resizes that block to the output's shape and
-    then reads the children's rows, in order, into it. One range is read
-    from ``fh`` itself, whose offset may not be a byte offset; the ranges
-    are read with ``os.pread``, which leaves the descriptor's shared offset
-    alone, so ``fh`` can still be read on or rewound. When the read fails,
-    the children are killed, not waited for, so the strict parser starts at
-    once.
+    then reads the children's rows, in order, into it. Every range is read
+    through :func:`_range_text`, whose ``os.pread`` leaves the descriptor's
+    shared offset alone. When the read fails, the children are killed, not
+    waited for, so the strict parser starts at once.
     """
-    text, reads, pids, done = fh, [], [], False
+    reads, pids, done = [], [], False
     try:
-        if ranges > 1:
-            fd = fh.fileno()
-            start, end = fh.tell(), os.fstat(fd).st_size
-            bounds = [start]
-            for i in range(1, ranges):
-                cut = max(bounds[-1], start + i * (end - start) // ranges)
-                bounds.append(_line_end(fd, cut))
-            bounds.append(end)
-            for a, b in zip(bounds[1:], bounds[2:]):
-                r, w = os.pipe()
-                reads.append(r)
-                try:
-                    pid = _fork()
-                    if pid == 0:
-                        _parse_range_and_exit(_range_text(fd, a, b), cols, w, reads)
-                    pids.append(pid)
-                finally:
-                    # A later child must not inherit this write end, or the
-                    # pipe would stay open after this child exits.
-                    os.close(w)
-            text = _range_text(fd, start, bounds[1])
+        bounds = [start]
+        for i in range(1, ranges):
+            cut = max(bounds[-1], start + i * (end - start) // ranges)
+            bounds.append(_line_end(fd, cut))
+        bounds.append(end)
+        for a, b in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = _fork()
+                if pid == 0:
+                    _parse_range_and_exit(_range_text(fd, a, b), cols, w, reads)
+                pids.append(pid)
+            finally:
+                # A later child must not inherit this write end, or the pipe
+                # would stay open after this child exits.
+                os.close(w)
         try:
-            blocks = _row_blocks(text, cols, rows)
+            blocks = _row_blocks(_range_text(fd, start, bounds[1]), cols, rows)
             out = next(blocks)
             if len(next(blocks, ())):
                 return None

@@ -115,10 +115,16 @@ def squarem_step(
     alpha^2 v)`` per factor, column-normalized as a pair. When ||v|| is below
     ``DEGENERATE_NORM`` alpha is -1, the two-step iterate. While the
     candidate objective exceeds the objective at x0, alpha moves as
-    alpha <- (alpha - 1) / 2, which keeps -1 at -1, and the candidate is
-    rebuilt. If the accepted extrapolation is still worse than the plain
-    two-step iterate, the two-step iterate is returned, so acceleration never
-    loses to simply applying the map twice.
+    alpha <- (alpha - 1) / 2, snapping to -1 once within ``_ALPHA_SNAP``,
+    and the candidate is rebuilt. A candidate whose objective does not
+    exceed it (a NaN one included, which ``solve`` then reports) is
+    accepted, and kept unless it is worse than the plain two-step iterate,
+    so acceleration never loses to simply applying the map twice.
+
+    Every other outcome (alpha forced or snapped to -1, a degenerate ||v||,
+    an accepted candidate worse than x2) returns x2 itself, the pair and
+    products the second base application made, with alpha = -1 and the
+    backtracks counted so far.
 
     ``force_alpha`` sets alpha unless ||v|| is degenerate (useful for
     checking the alpha = -1 identity, which reproduces the two-step iterate
@@ -148,40 +154,25 @@ def squarem_step(
     else:
         alpha = -math.sqrt(_sq(rw) + _sq(rh)) / norm_v
 
-    def build(alpha: float) -> tuple[FactorPair, float, Optional[tuple]]:
-        if alpha == -1.0:
-            # Return the two-step iterate verbatim (already normalized);
-            # renormalizing would perturb it at roundoff level.
-            return x2.copy(), f2, p2
+    backtracks = 0
+    # At alpha = -1 the candidate would be the two-step iterate, which the
+    # loop does not rebuild: renormalizing it would perturb it at roundoff.
+    while alpha != -1.0:
         Wc, Hc = normalize_pair(
             _extrapolate(x0.W, rw, vw, alpha), _extrapolate(x0.H, rh, vh, alpha)
         )
         f, pc = linalg.pair_objective(V, Wc, Hc, v_sq)
-        return FactorPair(Wc, Hc), f, pc
-
-    candidate, f_candidate, p_candidate = build(alpha)
-    backtracks = 0
-    # At alpha = -1 the candidate is the two-step iterate, accepted on the
-    # base map's own monotonicity.
-    while f_candidate > f0 and alpha != -1.0:
+        # A NaN objective is accepted, so that solve reports it.
+        if not f > f0:
+            if f > f2:
+                break
+            return FactorPair(Wc, Hc), AccelState(alpha, backtracks, f, pc)
         if backtracks >= MAX_BACKTRACKS:
             raise NumericalFailureError(
                 f"backtracking failed to restore descent after {backtracks} rounds"
             )
         alpha = _backtrack(alpha)
         backtracks += 1
-        # Drop the rejected candidate's products before forming the next.
-        p_candidate = None
-        candidate, f_candidate, p_candidate = build(alpha)
 
-    # Never finish worse than the plain two-step iterate.
-    if f_candidate > f2:
-        candidate, f_candidate, p_candidate = x2.copy(), f2, p2
-        alpha = -1.0
-
-    return candidate, AccelState(
-        alpha=alpha,
-        backtracks=backtracks,
-        objective=f_candidate,
-        products=p_candidate,
-    )
+    # The two-step iterate, accepted on the base map's own monotonicity.
+    return x2, AccelState(-1.0, backtracks, f2, p2)

@@ -1,9 +1,11 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nmfkit import linalg, solvers, squarem, verify
+from nmfkit.errors import NumericalFailureError
 from nmfkit.solvers import (
     Algorithm,
     FactorPair,
@@ -204,6 +206,118 @@ class TestSquaremStep:
             alpha = (alpha - 1.0) / 2.0
         for a, b in zip(gaps, gaps[1:]):
             assert abs(b - a / 2.0) <= 1e-15
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """``scored(*values)`` makes :func:`squarem_step` score its candidates
+    ``values[0]``, ``values[1]``, ... in turn, each with its real products;
+    the base maps' own objectives are untouched."""
+
+    def script(*values):
+        values = list(values)
+
+        def pair_objective(V, W, H, v_sq):
+            return values.pop(0), linalg.pair_objective(V, W, H, v_sq)[1]
+
+        monkeypatch.setattr(
+            squarem, "linalg", SimpleNamespace(pair_objective=pair_objective)
+        )
+
+    return script
+
+
+def recorded(base):
+    """``base`` and the list of ``(pair, info)`` it returns, call by call."""
+    calls = []
+
+    def recording(V, pair, **kw):
+        calls.append(base(V, pair, **kw))
+        return calls[-1]
+
+    return recording, calls
+
+
+def still(V, pair, *, v_sq=None, products=None):
+    """A base map that returns a fresh copy of its pair, so ||v|| is 0."""
+    out = pair.copy()
+    f, p = linalg.pair_objective(V, out.W, out.H, v_sq) if v_sq else (None, None)
+    return out, {"objective": f, "products": p}
+
+
+class TestTwoStepExit:
+    """Every way a step ends at alpha = -1 hands back the second base
+    application's own pair and products, and the backtracks made."""
+
+    @staticmethod
+    def _snaps_after(alpha):
+        count = 0
+        while alpha != -1.0:
+            alpha, count = squarem._backtrack(alpha), count + 1
+        return count
+
+    @pytest.mark.parametrize(
+        "case", ["forced", "degenerate", "snapped", "worse-than-x2"]
+    )
+    def test_returns_second_applications_pair_and_products(self, scored, case):
+        V, pair = random_instance(540)
+        f0 = objective(V, pair)
+        base, kw, backtracks = parinom_iterate, {}, 0
+        if case == "forced":
+            kw = {"force_alpha": -1.0}
+        elif case == "degenerate":
+            base = still
+        elif case == "snapped":
+            # Every candidate rises, so alpha backtracks until it snaps.
+            kw = {"force_alpha": -3.0}
+            backtracks = self._snaps_after(-3.0)
+            scored(*[np.inf] * backtracks)
+        else:
+            # One rejected candidate, then one that ties x0: accepted, but
+            # the two-step iterate is lower.
+            backtracks = 1
+            scored(np.inf, f0)
+        step, calls = recorded(base)
+        out, accel = accelerate(V, pair, step, **kw)
+        assert len(calls) == 2
+        x2, info = calls[1]
+        assert out is x2
+        assert accel.products is info["products"] is not None
+        assert accel.objective == info["objective"]
+        assert accel.alpha == -1.0
+        assert accel.backtracks == backtracks
+
+    def test_nan_candidate_is_accepted_at_once(self, scored):
+        V, pair = random_instance(541)
+        scored(np.nan)
+        step, calls = recorded(parinom_iterate)
+        out, accel = accelerate(V, pair, step)
+        # Not the two-step iterate: the NaN candidate itself, at once.
+        assert out is not calls[1][0]
+        assert accel.backtracks == 0 and accel.alpha != -1.0
+        assert np.isnan(accel.objective)
+
+    def test_nan_candidate_stops_solve_at_its_iteration(self, monkeypatch):
+        V, _ = random_instance(542)
+        config = SolverConfig(
+            Algorithm.ACC_PARINOM, rank=3, tol=1e-300, max_iters=20, seed=7
+        )
+        real, armed = linalg.pair_objective, []
+
+        def pair_objective(V, W, H, v_sq):
+            f, p = real(V, W, H, v_sq)
+            return (np.nan if armed else f), p
+
+        def arm_after_third(k, pair):
+            if k == 3:
+                armed.append(True)
+
+        monkeypatch.setattr(
+            squarem, "linalg", SimpleNamespace(pair_objective=pair_objective)
+        )
+        with pytest.raises(NumericalFailureError) as info:
+            solve(V, config, callback=arm_after_third)
+        assert info.value.iteration == 4
 
 
 class TestProductCarry:
