@@ -37,9 +37,9 @@ objective formed, and the same map's next call, given them as
 ``products=``, reads the ones its step needs instead of forming them
 again. :func:`solve` threads them from one call to the next. A map hands on
 only entries formed by the same expression the consumer would use, so a
-carried run and an uncarried run are bitwise equal. ``products=None`` means
-"form them here", so a pair built or changed by hand never meets stale
-products.
+carried run of PARINOM, MU or Fast-HALS and an uncarried run are bitwise
+equal. ``products=None`` means "form them here", so a pair built or changed
+by hand never meets stale products.
 
   * PARINOM hands on all three (:func:`linalg.pair_objective`) and its step
     reads all three, so a carried call forms two O(nmr) products, the step's
@@ -49,7 +49,11 @@ products.
     it;
   * Fast-HALS hands on ``(None, W^T W, H H^T)`` and its H sweep reads
     ``W^T W``;
-  * INOM hands on none and ignores the keyword.
+  * INOM hands on no products but its memory, an :class:`InomMemory` of the
+    returned pair and the pair before it, which makes its next call on that
+    pair inertial (:func:`inom_iterate`); a carried call still forms two
+    O(nmr) products. Given anything else, a product tuple included, it takes
+    the paper's step.
 
 The multiplicative maps and Fast-HALS floor their entries at the fixed
 constant :data:`POSITIVITY_FLOOR`.
@@ -79,6 +83,7 @@ __all__ = [
     "initial_factors",
     "inom_update_h",
     "inom_update_w",
+    "InomMemory",
     "inom_iterate",
     "parinom_iterate",
     "mu_iterate",
@@ -296,18 +301,113 @@ def inom_update_w(V, W, H):
     return Wn, nu, VHt, G
 
 
+# Inertial INOM weighs each block's extrapolation by
+# min((t_{k-1} - 1) / t_k, INERTIA_BOUND * sqrt(L_{k-1} / L_k)).
+INERTIA_BOUND = 0.9999
+
+
+@dataclass(frozen=True, eq=False)
+class InomMemory:
+    """What a carried :func:`inom_iterate` call hands the next one as
+    ``info["products"]``: the pair it returned (``W``, ``H``, matched by
+    identity against the next call's pair), the pair it stepped from
+    (``W_prev``, ``H_prev``), Nesterov's ``t``, the two block step sizes
+    ``mu`` and ``nu``, and the returned pair's objective."""
+
+    W: np.ndarray = field(repr=False)
+    H: np.ndarray = field(repr=False)
+    W_prev: np.ndarray = field(repr=False)
+    H_prev: np.ndarray = field(repr=False)
+    t: float
+    mu: float
+    nu: float
+    objective: float
+
+
 def inom_iterate(
     V, state: FactorPair, *, v_sq: Optional[float] = None, products=None
 ) -> tuple[FactorPair, dict]:
-    """Full INOM iteration: H step, then W step, then renormalize W.
+    """Full INOM iteration: H step, then W step, then renormalize W; inertial
+    when handed its own memory.
 
     Per-iteration cost is O(2 r n m + 2 r^2 (n + m)). The info dict holds
     the step sizes ``"mu"`` and ``"nu"``; with ``v_sq`` the objective reuses
-    the W step's ``V H^T`` and ``H H^T``. ``products`` is ignored and none
-    are returned.
+    the W step's ``V H^T`` and ``H H^T``, and ``info["products"]`` is an
+    :class:`InomMemory` of the returned pair.
+
+    Given ``v_sq`` and, as ``products``, the memory that the previous call
+    handed on with this very pair, the iteration is inertial (TITAN: Hien,
+    Phan & Gillis, "An Inertial Block Majorization Minimization Framework for
+    Nonsmooth Nonconvex Optimization", JMLR 24, 2023). Each block takes the
+    paper's step from the extrapolated anchor ``X + beta (X - X_prev)``,
+    H with ``G = W^T W`` and then W with ``G = H' H'^T``, where
+    ``beta = min((t_{k-1} - 1) / t_k, INERTIA_BOUND * sqrt(L_{k-1} / L_k))``
+    with Nesterov's ``t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2`` and ``L`` the
+    block's step size (``mu`` or ``nu``). It forms the same two O(nmr)
+    products as the paper's step. If its Gram-form objective exceeds the
+    incoming pair's (or is NaN, or the step fails), the call returns the
+    paper's step from the incoming pair and resets ``t`` to 1, so a carried
+    trace never rises; such a call forms four O(nmr) products.
+
+    For a Lipschitz-gradient block surrogate, which each INOM block bound is
+    (``mu`` dominates the block Hessian), TITAN's subsequential convergence
+    theorem admits ``0 <= beta <= sqrt(C L_{k-1} / L_k)`` with a constant
+    ``C < 1``; the rule here has ``C = INERTIA_BOUND**2``, and a fallback
+    call is the ``beta = 0`` step, which that range also admits. The theorem
+    does not cover the renormalization of W between iterations, which
+    rescales the pair the extrapolation is taken from, so the claim made
+    here is only the observed one: the carried trace is monotone, by the
+    fallback.
+
+    Otherwise (no ``v_sq``, ``products`` None, a SQUAREM candidate's
+    product tuple, or memory of another pair) the call is the paper's step,
+    bit for bit, and ``t`` starts at 1, so the next carried call has
+    ``beta = 0``.
     """
-    Hn, mu = inom_update_h(V, state.W, state.H)
-    Wn, nu, VHt, G = inom_update_w(V, state.W, Hn)
+    W, H = state.W, state.H
+    memory, pair = products, None
+    if (
+        v_sq is not None
+        and isinstance(memory, InomMemory)
+        and memory.W is W
+        and memory.H is H
+    ):
+        t, nesterov = _nesterov(memory.t)
+        try:
+            pair, info = _inom_step(V, W, H, v_sq, memory, nesterov)
+        except NumericalFailureError:
+            pass
+        else:
+            if not info["objective"] <= memory.objective:
+                pair = None
+    if pair is None:
+        t = 1.0
+        pair, info = _inom_step(V, W, H, v_sq)
+    if v_sq is not None:
+        info["products"] = InomMemory(
+            pair.W, pair.H, W, H, t, info["mu"], info["nu"], info["objective"]
+        )
+    return pair, info
+
+
+def _nesterov(t: float) -> tuple[float, float]:
+    """Nesterov's next ``t_k = (1 + sqrt(1 + 4 t^2)) / 2`` after ``t`` and
+    the momentum ``(t - 1) / t_k`` that caps the next call's beta."""
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+    return t_next, (t - 1.0) / t_next
+
+
+def _inom_step(V, W, H, v_sq, memory=None, nesterov=0.0):
+    """The paper's INOM iteration from (W, H), each block anchored at its
+    extrapolation from ``memory``'s previous pair when ``memory`` is given.
+    The block steps are the module's ``inom_update_h`` and ``inom_update_w``,
+    looked up at call time."""
+    if memory is not None:
+        H = _extrapolate(H, memory.H_prev, nesterov, memory.mu, W.T)
+    Hn, mu = inom_update_h(V, W, H)
+    if memory is not None:
+        W = _extrapolate(W, memory.W_prev, nesterov, memory.nu, Hn)
+    Wn, nu, VHt, G = inom_update_w(V, W, Hn)
     pair = FactorPair(*normalize_pair(Wn, Hn))
     info = {"mu": mu, "nu": nu}
     if v_sq is not None:
@@ -316,6 +416,26 @@ def inom_iterate(
             V, pair.W, pair.H, v_sq, cross, Wn.T @ Wn, G
         )
     return pair, info
+
+
+def _extrapolate(X, X_prev, nesterov, step_prev, F):
+    """``X + beta (X - X_prev)``, the inertial anchor of one block, or X
+    itself when beta is 0. ``beta = min(nesterov, INERTIA_BOUND *
+    sqrt(step_prev / step))``, where ``step`` is the block's step size, twice
+    the largest row sum of ``G = F F^T`` for the fixed factor F (``W^T`` for
+    H, ``H'`` for W). F is nonnegative, so the row sums are ``F (F^T 1)``:
+    two O(r (n + m)) passes, not G itself. A zero F gives beta 0, and the
+    step then reports it."""
+    step = 2.0 * float(np.max(F @ F.sum(axis=0)))
+    if not step > 0.0:
+        return X
+    beta = min(nesterov, INERTIA_BOUND * math.sqrt(step_prev / step))
+    if not beta > 0.0:
+        return X
+    out = np.subtract(X, X_prev)
+    out *= beta
+    out += X
+    return out
 
 
 def _projected_step(cross, GX, X, G, fixed, block):

@@ -19,7 +19,8 @@ Gram form falls back to the exact value near a perfect fit. The accepted
 candidate's value and products ``(V H^T, W^T W, H H^T)`` are returned in
 :class:`AccelState`, and the next step hands those products to its first
 base application, which reads the ones its step needs: all three for
-PARINOM, ``V H^T`` and ``H H^T`` for MU, and ``W^T W`` for Fast-HALS. With b
+PARINOM, ``V H^T`` and ``H H^T`` for MU, ``W^T W`` for Fast-HALS and none
+for INOM, which takes its plain step from them. With b
 the backtrack count, an accelerated PARINOM step so forms 5 + b O(nmr)
 products: one in the first base application, three in the second (its
 objective included) and one per extrapolated candidate. An accelerated MU
@@ -61,8 +62,8 @@ class AccelState:
     pair :func:`squarem_step` returns with it, and ``products`` that pair's
     ``(V H^T, W^T W, H H^T)`` for the next step's ``products=``. When the
     accepted pair is the two-step iterate they are what the base map handed
-    on with it: None in each entry it did not form, or None in place of the
-    tuple for a map that hands on none."""
+    on with it: None in each entry it did not form, or INOM's memory, which
+    the next step's first application, called without ``v_sq``, ignores."""
 
     alpha: float
     backtracks: int

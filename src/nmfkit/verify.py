@@ -2,12 +2,14 @@
 
 Each invariant has one measure here, taking a single instance: the largest
 objective rise of a solve (:func:`monotone_rise`), how far an algorithm's
-upper bounds miss or undercut the objective (:func:`majorization_gaps`), the
-drift of a planted factorization under one base map
-(:func:`fixed_point_drift`), the smallest eigenvalue of the row-sum step
-bound minus the matrix (:func:`psd_gap`), the stationarity-residual ratio of
-a solve (:func:`kkt_ratio`) and the SQUAREM invariants around one base map
-(:func:`acceleration_gaps`). The suites apply them to seeded random
+upper bounds miss or undercut the objective (:func:`majorization_gaps`,
+also at inertial INOM's extrapolated anchor, :func:`inertial_anchor`), the
+drift of a planted factorization under one base map (:func:`fixed_point_drift`),
+the smallest eigenvalue of the row-sum step bound minus the matrix
+(:func:`psd_gap`), the stationarity-residual ratio of a solve
+(:func:`kkt_ratio`), the SQUAREM invariants around one base map
+(:func:`acceleration_gaps`) and inertial INOM's beta = 0 identity
+(:func:`zero_momentum_exact`). The suites apply them to seeded random
 instances and count violations; the acceptance tests apply the same
 measures to their own instances. Measures call the solver and diagnostics
 modules through their module namespaces so a fault injected there (for
@@ -33,11 +35,13 @@ __all__ = [
     "monotone_rise",
     "MajorizationGaps",
     "majorization_gaps",
+    "inertial_anchor",
     "fixed_point_drift",
     "psd_gap",
     "kkt_ratio",
     "AccelerationGaps",
     "acceleration_gaps",
+    "zero_momentum_exact",
 ]
 
 # Largest relative gap an upper bound may show at its anchor, and largest
@@ -152,6 +156,22 @@ def majorization_gaps(
     return MajorizationGaps(float(np.max(anchor)), float(np.max(gaps)) if gaps else 0.0)
 
 
+def inertial_anchor(V, start: FactorPair) -> FactorPair:
+    """``(W, H_ext)``, where a carried INOM call anchors its H bound, after a
+    real two-iterate history from ``start``: one uncarried call, then one
+    carried call, whose memory gives the next call nonzero momentum (unless
+    it fell back). ``H_ext = H + beta (H - H_prev)`` may have negative
+    entries; the bound is a quadratic in H, defined there all the same."""
+    v_sq = float(np.vdot(V, V))
+    step = solvers.base_map(Algorithm.INOM)
+    x, info = step(V, start.copy(), v_sq=v_sq)
+    x, info = step(V, x, v_sq=v_sq, products=info["products"])
+    memory = info["products"]
+    _, nesterov = solvers._nesterov(memory.t)
+    H_ext = solvers._extrapolate(x.H, memory.H_prev, nesterov, memory.mu, x.W.T)
+    return FactorPair(x.W, H_ext)
+
+
 def fixed_point_drift(V, pair: FactorPair, alg: Algorithm) -> float:
     """Largest entry change of ``pair`` under one step of the base map of
     ``alg`` (a key of ``solvers.BASE_MAPS``); ``pair`` is an exact
@@ -227,6 +247,24 @@ def acceleration_gaps(
     return AccelerationGaps(bool(exact), objective_rise(accel), float(lag))
 
 
+def zero_momentum_exact(V, start: FactorPair) -> bool:
+    """Whether an inertial INOM call at zero momentum is the paper's step bit
+    for bit. The memory an uncarried call from ``start`` hands on has t = 1,
+    so the carried call from its pair has beta = 0, though its previous pair
+    differs; its iterate and objective must equal an uncarried call's from
+    the same pair."""
+    v_sq = float(np.vdot(V, V))
+    step = solvers.base_map(Algorithm.INOM)
+    x, info = step(V, start.copy(), v_sq=v_sq)
+    carried, carried_info = step(V, x, v_sq=v_sq, products=info["products"])
+    plain, plain_info = step(V, x, v_sq=v_sq)
+    return (
+        np.array_equal(carried.W, plain.W)
+        and np.array_equal(carried.H, plain.H)
+        and carried_info["objective"] == plain_info["objective"]
+    )
+
+
 def _random_instance(seed: int, n: int = 12, m: int = 15, r: int = 3):
     rng = np.random.default_rng(seed)
     V = linalg.normalize_columns(rng.uniform(0.5, 1.5, size=(n, m)))
@@ -259,11 +297,16 @@ def _suite_majorization(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
         W = linalg.normalize_columns(rng.uniform(0.1, 1.0, size=(V.shape[0], r)))
         H = rng.uniform(0.1, 1.0, size=(r, V.shape[1]))
         state = FactorPair(W, H)
-        for alg in (Algorithm.INOM, Algorithm.PARINOM):
-            gaps = majorization_gaps(V, state, alg, samples, derive_seed(seed, 22, i))
+        cases = (
+            ("inom", state, Algorithm.INOM),
+            ("parinom", state, Algorithm.PARINOM),
+            ("inertial inom", inertial_anchor(V, state), Algorithm.INOM),
+        )
+        for name, anchor, alg in cases:
+            gaps = majorization_gaps(V, anchor, alg, samples, derive_seed(seed, 22, i))
             yield (
                 all(gap <= MAJORIZATION_TOL for gap in gaps),
-                f"algorithm={alg.value} instance={i} bound misses the objective "
+                f"algorithm={name} instance={i} bound misses the objective "
                 f"by {gaps.anchor!r} at its anchor and undercuts it by "
                 f"{gaps.domination!r} at a sample",
             )
@@ -324,6 +367,11 @@ def _suite_acceleration(seed: int, quick: bool) -> Iterator[tuple[bool, str]]:
             start = solvers.initial_factors(V, r, derive_seed(seed, 71, i))
             gaps = acceleration_gaps(V, start, alg, steps)
             where = f"map={alg.value} instance={i}"
+            if alg is Algorithm.INOM:
+                yield (
+                    zero_momentum_exact(V, start),
+                    f"{where} beta = 0 did not reproduce the plain step",
+                )
             yield (
                 gaps.identity_exact,
                 f"{where} alpha = -1 did not reproduce the two-step iterate",

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -681,12 +682,14 @@ def fresh_products(V, pair):
 
 def uncarried_solve(V, config, steps):
     """``steps`` iterations of ``config``'s map, each called without products,
-    as (final pair, objectives, backtracks)."""
+    as (final pair, objectives, backtracks). INOM alone is handed what its
+    previous call handed on: its memory, which is part of its iteration."""
     state = initial_factors(V, config.rank, config.seed)
     v_sq = float(np.vdot(V, V))
     f = [objective(V, state)]
     backtracks = []
     base = solvers._ACCELERATED.get(config.algorithm)
+    info = {}
     for _ in range(steps):
         if base is not None:
             state, accel = squarem.squarem_step(
@@ -695,7 +698,10 @@ def uncarried_solve(V, config, steps):
             f.append(accel.objective)
             backtracks.append(accel.backtracks)
         else:
-            state, info = base_map(config.algorithm)(V, state, v_sq=v_sq)
+            memory = info.get("products") if config.algorithm is Algorithm.INOM else None
+            state, info = base_map(config.algorithm)(
+                V, state, v_sq=v_sq, products=memory
+            )
             f.append(info["objective"])
     return state, np.array(f), backtracks
 
@@ -718,21 +724,36 @@ PRODUCTS_PER_STEP = {
 
 class TestProductCarry:
     """PARINOM, MU and Fast-HALS hand products of their output pair to the
-    next call; the carry must change no bit of any iterate, and INOM, which
-    is handed none, ignores the keyword."""
+    next call; the carry must change no bit of any iterate. INOM hands on
+    its memory instead and takes the paper's step from any products."""
 
     @pytest.mark.parametrize("alg", list(solvers.BASE_MAPS), ids=lambda a: a.value)
     def test_products_belong_to_returned_pair(self, alg):
-        # Products are handed on only with the objective, and never by INOM.
+        # Products are handed on only with the objective. INOM's are its
+        # memory: the returned pair itself and the pair it stepped from, on
+        # an uncarried call and on each carried call after it.
         V, pair = random_instance(600, n=20, m=30, r=4)
-        out, info = base_map(alg)(V, pair, v_sq=float(np.vdot(V, V)))
-        if alg not in CARRYING:
-            assert "products" not in info
-            return
-        handed = [p for p in info["products"] if p is not None]
-        assert handed
-        for got, want in zip(info["products"], fresh_products(V, out)):
-            assert got is None or np.array_equal(got, want)
+        v_sq = float(np.vdot(V, V))
+        if alg is Algorithm.INOM:
+            memory = None
+            for _ in range(4):
+                out, info = base_map(alg)(V, pair, v_sq=v_sq, products=memory)
+                memory = info["products"]
+                assert isinstance(memory, solvers.InomMemory)
+                assert memory.W is out.W and memory.H is out.H
+                assert memory.W_prev is pair.W and memory.H_prev is pair.H
+                assert (memory.mu, memory.nu, memory.objective) == (
+                    info["mu"], info["nu"], info["objective"]
+                )
+                pair = out
+            # The carried calls were inertial: t grew past its start at 1.
+            assert memory.t > 1.0
+        else:
+            out, info = base_map(alg)(V, pair, v_sq=v_sq)
+            handed = [p for p in info["products"] if p is not None]
+            assert handed
+            for got, want in zip(info["products"], fresh_products(V, out)):
+                assert got is None or np.array_equal(got, want)
         _, bare = base_map(alg)(V, pair)
         assert "products" not in bare
 
@@ -802,6 +823,153 @@ class TestProductCarry:
         assert total > 0 or base is None
 
 
+def paper_inom_step(V, pair, v_sq):
+    """The paper's INOM iteration written out from its two block updates,
+    with the Gram-form objective of the result: the oracle of every call that
+    is not inertial."""
+    Hn, mu = inom_update_h(V, pair.W, pair.H)
+    Wn, nu, VHt, G = inom_update_w(V, pair.W, Hn)
+    W, H = solvers.normalize_pair(Wn, Hn)
+    info = {"mu": mu, "nu": nu}
+    if v_sq is not None:
+        cross = float(np.vdot(VHt, Wn))
+        info["objective"] = linalg.gram_objective(V, W, H, v_sq, cross, Wn.T @ Wn, G)
+    return FactorPair(W, H), info
+
+
+def assert_paper_step(V, pair, out, info, v_sq):
+    want, want_info = paper_inom_step(V, pair, v_sq)
+    assert np.array_equal(out.W, want.W)
+    assert np.array_equal(out.H, want.H)
+    assert [info.get(k) for k in want_info] == list(want_info.values())
+
+
+class TestInertialInom:
+    """INOM handed its own memory takes the paper's block steps from
+    extrapolated anchors; every other call is the paper's step bit for bit."""
+
+    def _momentum_pair(self, seed):
+        # Two calls from a random start: the pair and the memory of the
+        # second, whose t exceeds 1, so the next carried call has momentum.
+        V, start = random_instance(seed, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        pair, info = inom_iterate(V, start, v_sq=v_sq)
+        pair, info = inom_iterate(V, pair, v_sq=v_sq, products=info["products"])
+        assert info["products"].t > 1.0
+        return V, v_sq, start, pair, info["products"]
+
+    def test_uncarried_call_is_paper_step(self):
+        V, pair = random_instance(620, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        out, info = inom_iterate(V, pair, v_sq=v_sq)
+        assert_paper_step(V, pair, out, info, v_sq)
+        assert info["products"].t == 1.0
+        out, info = inom_iterate(V, pair)
+        assert_paper_step(V, pair, out, info, None)
+        assert "objective" not in info and "products" not in info
+
+    @pytest.mark.parametrize(
+        "kind", ["squarem-tuple", "other-pair", "equal-copy", "no-v_sq"]
+    )
+    def test_foreign_products_give_paper_step(self, kind):
+        V, v_sq, start, pair, memory = self._momentum_pair(621)
+        # The memory is live: on its own pair the call is inertial.
+        inertial, _ = inom_iterate(V, pair, v_sq=v_sq, products=memory)
+        plain, _ = paper_inom_step(V, pair, v_sq)
+        assert not np.array_equal(inertial.H, plain.H)
+        if kind == "squarem-tuple":
+            products = linalg.pair_objective(V, pair.W, pair.H, v_sq)[1]
+        elif kind == "other-pair":
+            products = inom_iterate(V, start, v_sq=v_sq)[1]["products"]
+        elif kind == "equal-copy":
+            products, pair = memory, pair.copy()
+        else:
+            products, v_sq = memory, None
+        out, info = inom_iterate(V, pair, v_sq=v_sq, products=products)
+        assert_paper_step(V, pair, out, info, v_sq)
+        if v_sq is not None:
+            assert info["products"].t == 1.0
+
+    @pytest.mark.parametrize("outcome", ["rise", "failure"])
+    def test_bad_inertial_step_returns_paper_step_and_resets_t(self, outcome):
+        V, v_sq, _, pair, memory = self._momentum_pair(622)
+        rng = np.random.default_rng(623)
+        if outcome == "rise":
+            W_prev = linalg.normalize_columns(rng.uniform(0.0, 1.0, size=pair.W.shape))
+            H_prev = pair.H - 10.0 * (1.0 + pair.H.max())
+        else:
+            # W's anchor is so far below zero that its step zeroes a column.
+            W_prev, H_prev = pair.W + 10.0, memory.H_prev
+        far = replace(memory, W_prev=W_prev, H_prev=H_prev, t=50.0)
+        _, nesterov = solvers._nesterov(far.t)
+        if outcome == "rise":
+            _, raised = solvers._inom_step(V, pair.W, pair.H, v_sq, far, nesterov)
+            assert raised["objective"] > far.objective
+        else:
+            with pytest.raises(NumericalFailureError):
+                solvers._inom_step(V, pair.W, pair.H, v_sq, far, nesterov)
+        out, info = inom_iterate(V, pair, v_sq=v_sq, products=far)
+        assert_paper_step(V, pair, out, info, v_sq)
+        handed = info["products"]
+        assert handed.t == 1.0
+        assert handed.W is out.W and handed.W_prev is pair.W
+
+    @pytest.mark.parametrize("nesterov, step_prev", [(0.3, 1e3), (0.9, 1.0), (0.0, 1e3)])
+    def test_extrapolation_weight_follows_the_rule(self, nesterov, step_prev):
+        # beta = min(nesterov, INERTIA_BOUND * sqrt(L_prev / L)) with L twice
+        # the largest row sum of F F^T; the second case binds the cap.
+        rng = np.random.default_rng(625)
+        X, X_prev = rng.uniform(0.0, 1.0, size=(2, 4, 9))
+        F = rng.uniform(0.0, 1.0, size=(4, 7))
+        step = 2.0 * linalg.max_row_sum(F @ F.T)
+        beta = min(nesterov, solvers.INERTIA_BOUND * math.sqrt(step_prev / step))
+        assert (beta < nesterov) is (nesterov == 0.9)
+        out = solvers._extrapolate(X, X_prev, nesterov, step_prev, F)
+        np.testing.assert_allclose(out, X + beta * (X - X_prev), rtol=1e-14, atol=0.0)
+        assert (out is X) is (beta == 0.0)
+
+    def test_verify_anchor_is_extrapolated_and_majorized(self):
+        V, _, start, pair, _ = self._momentum_pair(626)
+        anchor = verify.inertial_anchor(V, start)
+        assert np.array_equal(anchor.W, pair.W)
+        assert not np.array_equal(anchor.H, pair.H)
+        gaps = verify.majorization_gaps(V, anchor, Algorithm.INOM, samples=50, seed=627)
+        assert max(gaps) <= verify.MAJORIZATION_TOL
+
+    def test_zero_momentum_measure_catches_a_nonzero_beta(self, monkeypatch):
+        V, start = random_instance(624, n=20, m=30, r=4)
+        assert verify.zero_momentum_exact(V, start)
+        extrapolate = solvers._extrapolate
+        monkeypatch.setattr(
+            solvers,
+            "_extrapolate",
+            lambda X, X_prev, nesterov, *rest: extrapolate(X, X_prev, nesterov + 0.5, *rest),
+        )
+        assert not verify.zero_momentum_exact(V, start)
+
+    def test_carried_traces_are_monotone(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=60, deadline=None, database=None, derandomize=True
+        )
+        @hypothesis.given(
+            st.integers(2, 12), st.integers(2, 12), st.integers(1, 4),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(n, m, r, seed):
+            V = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, m))
+            config = SolverConfig(
+                algorithm=Algorithm.INOM, rank=min(r, n, m), tol=1e-300,
+                max_iters=40, seed=seed,
+            )
+            # The trace and the exact residual of every iterate.
+            assert verify.monotone_rise(V, config) <= 0.0
+
+        check()
+
+
 class TestCallbackGuard:
     """``solve`` hands its factors to the callback between two map calls that
     share products, so the callback may only observe them."""
@@ -818,11 +986,7 @@ class TestCallbackGuard:
         pair, _ = solve(V, config, callback=lambda k, s: None)
         assert pair.W.flags.writeable and pair.H.flags.writeable
 
-    @pytest.mark.parametrize(
-        "alg",
-        [a for a in ALL if a is not Algorithm.INOM],
-        ids=lambda a: a.value,
-    )
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
     def test_reassigned_copy_keeps_trajectory(self, alg):
         V, _ = random_instance(612, n=20, m=30)
         config = SolverConfig(algorithm=alg, rank=4, tol=1e-300, max_iters=20, seed=613)
@@ -836,11 +1000,7 @@ class TestCallbackGuard:
         assert np.array_equal(pair.H, copied.H)
         assert np.array_equal(trace.objectives, copied_trace.objectives)
 
-    @pytest.mark.parametrize(
-        "alg",
-        [a for a in ALL if a is not Algorithm.INOM],
-        ids=lambda a: a.value,
-    )
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
     def test_replaced_factor_drops_carried_products(self, alg):
         # The callback observes only: replacing the pair's factors with new
         # values leaves the solve bitwise equal to one without a callback.
