@@ -123,6 +123,12 @@ class BssScenario:
             raise ContractViolationError(
                 f"duration * rate must be a positive integer sample count, got {count}"
             )
+        # Rank BSS_NUM_SOURCES needs at least that many samples to solve.
+        if round(count) < BSS_NUM_SOURCES:
+            raise ContractViolationError(
+                f"sample rate {self.sample_rate_hz:g} Hz over {BSS_DURATION_S:g} s gives "
+                f"a sample count of {round(count)}, below the {BSS_NUM_SOURCES} sources"
+            )
         if BSS_NUM_SENSORS * round(count) > MAX_OBSERVED_ENTRIES:
             raise ContractViolationError(
                 f"{BSS_NUM_SENSORS} sensors x {count:g} samples exceed the "

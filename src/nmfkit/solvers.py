@@ -1,13 +1,14 @@
 """NMF iteration maps (INOM, PARINOM, MU, Fast-HALS) and the outer solve loop.
 
 All maps minimize ``||V - W H||_F**2`` over entrywise-nonnegative factors.
-They are pure functions of ``(V, state)``: inputs are never mutated, so
-multiple solves may share a read-only V concurrently. INOM updates H, then
-W from the new H. PARINOM builds both factor updates from the incoming pair
-(the paper's "parallel" update), so they are independent; they are
-evaluated one after the other. Its maps are ``W o (V H^T / (W H H^T))^{1/4}``
-and ``H o (W^T V / (W^T W H))^{1/4}``, with the quarter power taken as two
-square roots. MU takes the same ratios to the first power.
+They are pure functions of ``(V, state)``: a map writes only arrays it
+formed itself, never V or the incoming pair, so multiple solves may share a
+read-only V concurrently. INOM updates H, then W from the new H. PARINOM
+builds both factor updates from the incoming pair (the paper's "parallel"
+update), so they are independent; they are evaluated one after the other.
+Its maps are ``W o (V H^T / (W H H^T))^{1/4}`` and ``H o (W^T V / (W^T W
+H))^{1/4}``, with the quarter power taken as two square roots. MU takes the
+same ratios to the first power.
 
 Each block rule is written once and serves both factors: ``_ratio_step``,
 the floored ratio step of MU and PARINOM, written into the step's own
@@ -246,26 +247,24 @@ def objective_rise(f) -> float:
     return float(np.max(f[1:] - f[:-1] - MONOTONE_SLACK * np.maximum(1.0, f[:-1])))
 
 
-def _nonzero_column_norms(W: np.ndarray) -> np.ndarray:
-    """Column norms of W; raises :class:`NumericalFailureError` when one is
-    zero."""
+def normalize_pair(W: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Unit-normalize the columns of W and move their scales into the rows of
+    H, both in place, which leaves the product W H unchanged; returns the
+    column norms. The caller hands over arrays its step has just formed, so
+    no one else holds them.
+
+    Raises :class:`NumericalFailureError`, naming the first zero column of
+    W, before either array is written.
+    """
     norms = linalg.column_norms(W)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise NumericalFailureError(
             f"column {int(zero[0])} of W collapsed to zero during the iteration"
         )
+    W /= norms
+    H *= norms[:, None]
     return norms
-
-
-def normalize_pair(W: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize the columns of W and move their scales into the rows of
-    H, which leaves the product W H unchanged. W and H are not written.
-
-    Raises :class:`NumericalFailureError` when a column of W is zero.
-    """
-    norms = _nonzero_column_norms(W)
-    return W / norms, H * norms[:, None]
 
 
 def initial_factors(V: np.ndarray, rank: int, seed: int) -> FactorPair:
@@ -408,14 +407,15 @@ def _inom_step(V, W, H, v_sq, memory=None, nesterov=0.0):
     if memory is not None:
         W = _extrapolate(W, memory.W_prev, nesterov, memory.nu, Hn)
     Wn, nu, VHt, G = inom_update_w(V, W, Hn)
-    pair = FactorPair(*normalize_pair(Wn, Hn))
     info = {"mu": mu, "nu": nu}
     if v_sq is not None:
-        cross = float(np.vdot(VHt, Wn))
-        info["objective"] = linalg.gram_objective(
-            V, pair.W, pair.H, v_sq, cross, Wn.T @ Wn, G
-        )
-    return pair, info
+        # The cross term and W'^T W' of the pair before normalization, which
+        # has the same W H: normalize_pair writes W' and H' in place.
+        cross, WtW = float(np.vdot(VHt, Wn)), Wn.T @ Wn
+    normalize_pair(Wn, Hn)
+    if v_sq is not None:
+        info["objective"] = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW, G)
+    return FactorPair(Wn, Hn), info
 
 
 def _extrapolate(X, X_prev, nesterov, step_prev, F):
@@ -521,10 +521,7 @@ def parinom_iterate(
     """
     Wn, Hn = parinom_update(V, state.W, state.H, products=products)
     products = None  # drop the incoming products before forming the new ones
-    # Wn and Hn are this step's own arrays, so they are normalized in place.
-    norms = _nonzero_column_norms(Wn)
-    Wn /= norms
-    Hn *= norms[:, None]
+    normalize_pair(Wn, Hn)
     pair = FactorPair(Wn, Hn)
     if v_sq is None:
         return pair, {}
@@ -560,16 +557,15 @@ def mu_iterate(
     WtW = Wn.T @ Wn
     WtV = Wn.T @ V
     Hn = _ratio_step(WtV, WtW @ H, H, "MU H")
-    # normalize_pair, keeping the norms for the objective's W'^T W'.
-    norms = _nonzero_column_norms(Wn)
-    pair = FactorPair(Wn / norms, Hn * norms[:, None])
+    # The cross term of the pair before normalize_pair rescales H' in place;
+    # its norms then rescale W'^T W'.
+    cross = None if v_sq is None else float(np.vdot(WtV, Hn))
+    norms = normalize_pair(Wn, Hn)
+    pair = FactorPair(Wn, Hn)
     if v_sq is None:
         return pair, {}
-    cross = float(np.vdot(WtV, Hn))
-    HHt = pair.H @ pair.H.T
-    f = linalg.gram_objective(
-        V, pair.W, pair.H, v_sq, cross, WtW / np.outer(norms, norms), HHt
-    )
+    HHt = Hn @ Hn.T
+    f = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW / np.outer(norms, norms), HHt)
     return pair, {"objective": f, "products": (None, None, HHt)}
 
 

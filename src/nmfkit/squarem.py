@@ -159,9 +159,8 @@ def squarem_step(
     # At alpha = -1 the candidate would be the two-step iterate, which the
     # loop does not rebuild: renormalizing it would perturb it at roundoff.
     while alpha != -1.0:
-        Wc, Hc = normalize_pair(
-            _extrapolate(x0.W, rw, vw, alpha), _extrapolate(x0.H, rh, vh, alpha)
-        )
+        Wc, Hc = _extrapolate(x0.W, rw, vw, alpha), _extrapolate(x0.H, rh, vh, alpha)
+        normalize_pair(Wc, Hc)
         f, pc = linalg.pair_objective(V, Wc, Hc, v_sq)
         # A NaN objective is accepted, so that solve reports it.
         if not f > f0:

@@ -533,6 +533,7 @@ class TestBss:
             ("--sample-rate", "nan", "finite and positive"),
             ("--sample-rate", "inf", "finite and positive"),
             ("--sample-rate", "1e-300", "positive integer sample count"),
+            ("--sample-rate", "0.4", "0.4 Hz over 10 s gives a sample count of 4"),
             ("--sample-rate", "1e9", "exceed the 100000000 entries allowed"),
             ("--sample-rate", "1e300", "exceed the 100000000 entries allowed"),
             ("--noise-var", "nan", "finite and nonnegative"),
@@ -654,11 +655,11 @@ class TestVerify:
         assert "counterexample" in err
 
     def test_unnormalized_w_detected(self, capsys, monkeypatch):
-        # Unit norms switch off W's normalization in every map but
+        # A normalize_pair that leaves W's columns unscaled, in both modules
+        # that call it, switches off W's normalization in every map but
         # Fast-HALS's; the objective still descends.
-        monkeypatch.setattr(
-            solvers, "_nonzero_column_norms", lambda W: np.ones(W.shape[1])
-        )
+        for module in (solvers, squarem):
+            monkeypatch.setattr(module, "normalize_pair", lambda W, H: np.ones(W.shape[1]))
         code = main(["verify", "--quick"])
         assert code == EXIT_VERIFY
         captured = capsys.readouterr()

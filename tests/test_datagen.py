@@ -98,6 +98,13 @@ class TestBssScenario:
         with pytest.raises(ContractViolationError):
             BssScenario(sample_rate_hz=100.05)
 
+    def test_fewer_samples_than_sources_rejected(self):
+        # Rank BSS_NUM_SOURCES needs that many samples: 0.5 Hz over 10 s is
+        # the least rate, and 0.4 Hz (4 samples) is refused by name.
+        assert BssScenario(sample_rate_hz=0.5).num_samples == datagen.BSS_NUM_SOURCES
+        with pytest.raises(ContractViolationError, match="0.4 Hz .* sample count of 4"):
+            BssScenario(sample_rate_hz=0.4)
+
 
 class TestSourceWaveforms:
     def test_sine_rows_match_analytic_evaluation(self):

@@ -176,6 +176,58 @@ class TestSharedBlockSteps:
             assert np.array_equal(cross, cross0)  # only read
 
 
+class TestNormalizePair:
+    """Every map but Fast-HALS ends with ``normalize_pair`` on the fresh pair
+    its step formed, which it rescales in place."""
+
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_in_place_with_the_bits_of_the_quotients(self, r):
+        rng = np.random.default_rng(40 + r)
+        W, H = rng.uniform(0.1, 3.0, (7, r)), rng.uniform(0.1, 3.0, (r, 9))
+        W0, H0 = W.copy(), H.copy()
+        norms = solvers.normalize_pair(W, H)
+        assert np.array_equal(norms, linalg.column_norms(W0))
+        assert np.array_equal(W, W0 / norms)
+        assert np.array_equal(H, H0 * norms[:, None])
+        assert not np.array_equal(W, W0) and not np.array_equal(H, H0)
+        assert np.allclose(linalg.column_norms(W), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(W @ H, W0 @ H0, rtol=1e-14, atol=0.0)
+
+    def test_zero_column_raises_naming_it_before_any_write(self):
+        W = np.ones((4, 4))
+        W[:, 1] = W[:, 3] = 0.0
+        H = np.ones((4, 5))
+        W0, H0 = W.copy(), H.copy()
+        with pytest.raises(
+            NumericalFailureError, match=r"^column 1 of W collapsed to zero"
+        ):
+            solvers.normalize_pair(W, H)
+        assert np.array_equal(W, W0) and np.array_equal(H, H0)
+
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.value)
+    def test_maps_write_only_arrays_they_formed(self, alg):
+        # V, the incoming pair and, for INOM, its memory's previous pair are
+        # read-only, so an in-place write to any of them raises.
+        V, pair = random_instance(414, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        step, base = base_map(alg), solvers._ACCELERATED.get(alg)
+        pair, info = step(V, pair, v_sq=v_sq)
+        for _ in range(3):
+            held = [V, pair.W, pair.H]
+            if isinstance(info.get("products"), solvers.InomMemory):
+                held += [info["products"].W_prev, info["products"].H_prev]
+            for M in held:
+                M.flags.writeable = False
+            if base is None:
+                pair, info = step(V, pair, v_sq=v_sq, products=info.get("products"))
+            else:
+                pair, accel = squarem.squarem_step(
+                    V, pair, step, f0=info["objective"], v_sq=v_sq
+                )
+                info = {"objective": accel.objective}
+            pair.validate()
+
+
 class TestInomIterate:
     def test_fixed_point(self):
         V, pair = planted_instance(2)
@@ -829,12 +881,14 @@ def paper_inom_step(V, pair, v_sq):
     is not inertial."""
     Hn, mu = inom_update_h(V, pair.W, pair.H)
     Wn, nu, VHt, G = inom_update_w(V, pair.W, Hn)
-    W, H = solvers.normalize_pair(Wn, Hn)
     info = {"mu": mu, "nu": nu}
+    # The cross term and W'^T W' are read before normalize_pair rescales the
+    # fresh pair in place.
+    cross, WtW = float(np.vdot(VHt, Wn)), Wn.T @ Wn
+    solvers.normalize_pair(Wn, Hn)
     if v_sq is not None:
-        cross = float(np.vdot(VHt, Wn))
-        info["objective"] = linalg.gram_objective(V, W, H, v_sq, cross, Wn.T @ Wn, G)
-    return FactorPair(W, H), info
+        info["objective"] = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW, G)
+    return FactorPair(Wn, Hn), info
 
 
 def assert_paper_step(V, pair, out, info, v_sq):

@@ -153,10 +153,9 @@ class TestSquaremStep:
         assert accel.alpha_w == accel.alpha_h == accel.alpha
         rw, rh = x1.W - x0.W, x1.H - x0.H
         vw, vh = x2.W - x1.W - rw, x2.H - x1.H - rh
-        W, H = normalize_pair(
-            squarem._extrapolate(x0.W, rw, vw, accel.alpha),
-            squarem._extrapolate(x0.H, rh, vh, accel.alpha),
-        )
+        W = squarem._extrapolate(x0.W, rw, vw, accel.alpha)
+        H = squarem._extrapolate(x0.H, rh, vh, accel.alpha)
+        normalize_pair(W, H)
         assert np.array_equal(out.W, W)
         assert np.array_equal(out.H, H)
         assert np.abs(out.W - x0.W).max() <= 1e-15
@@ -191,10 +190,9 @@ class TestSquaremStep:
         assert accel.alpha == pytest.approx(-norm(rw, rh) / norm(vw, vh), rel=1e-14)
         assert abs(accel.alpha + 2.0) > 0.1 and abs(accel.alpha + 4.0) > 0.1
         assert accel.alpha_w == accel.alpha_h == accel.alpha
-        W, H = normalize_pair(
-            squarem._extrapolate(x0.W, rw, vw, accel.alpha),
-            squarem._extrapolate(x0.H, rh, vh, accel.alpha),
-        )
+        W = squarem._extrapolate(x0.W, rw, vw, accel.alpha)
+        H = squarem._extrapolate(x0.H, rh, vh, accel.alpha)
+        normalize_pair(W, H)
         assert np.array_equal(out.W, W)
         assert np.array_equal(out.H, H)
 
