@@ -245,11 +245,10 @@ def match_sources(recovered: np.ndarray, sources: np.ndarray):
     return matches
 
 
-def solve_bss(
-    scenario: datagen.BssScenario, observed: np.ndarray, algorithm: Algorithm
-):
-    """The ``bss`` command's solve of ``observed``: rank = the number of
-    sources, ``datagen.BSS_NUM_SOURCES``, a start seeded by ``scenario.seed``
+def solve_bss(scenario, observed: np.ndarray, algorithm: Algorithm):
+    """The ``bss`` command's solve of ``observed`` for ``scenario``, a
+    ``datagen.BssScenario``: rank = the number of sources,
+    ``datagen.BSS_NUM_SOURCES``, a start seeded by ``scenario.seed``
     (W uniform on [100, 500) then column-normalized, H uniform on [200,
     400)), ``tol`` 1e-8 and at most 1000 iterations. Returns ``(pair,
     trace)`` from :func:`solvers.solve`.

@@ -24,23 +24,21 @@ Conventions kept by every full iteration:
     renormalizes each column inside its sweep, where the unit-norm update is
     itself the exact block minimizer.
 
-Every full iteration map has one signature, ``(V, pair, *, v_sq=None,
-products=None) -> (pair, info)``. Given ``v_sq = ||V||_F**2``,
+Every full iteration map has one signature, ``(V, pair, *, v_sq,
+products=None) -> (pair, info)``, with ``v_sq = ||V||_F**2``.
 ``info["objective"]`` is the objective of ``pair``, formed in Gram form
-(:func:`linalg.gram_objective`) from products the step has already computed;
-without it the objective is not evaluated.
+(:func:`linalg.gram_objective`) from products the step has already computed.
 
 The products carry: each product is formed once across consecutive calls.
 ``products`` is ``(V H^T, W^T W, H H^T)`` of a pair, with None for an entry
-the map did not form. With ``v_sq`` a map hands on, as
-``info["products"]``, the products of the pair it returns that its
-objective formed, and the same map's next call, given them as
-``products=``, reads the ones its step needs instead of forming them
-again. :func:`solve` threads them from one call to the next. A map hands on
-only entries formed by the same expression the consumer would use, so a
-carried run of PARINOM, MU or Fast-HALS and an uncarried run are bitwise
-equal. ``products=None`` means "form them here", so a pair built or changed
-by hand never meets stale products.
+the map did not form. Every call hands on, as ``info["products"]``, the
+products of the pair it returns that its objective formed, and the same
+map's next call, given them as ``products=``, reads the ones its step needs
+instead of forming them again. :func:`solve` threads them from one call to
+the next. A map hands on only entries formed by the same expression the
+consumer would use, so a carried run of PARINOM, MU or Fast-HALS and an
+uncarried run are bitwise equal. ``products=None`` means "form them here",
+so a pair built or changed by hand never meets stale products.
 
   * PARINOM hands on all three (:func:`linalg.pair_objective`) and its step
     reads all three, so a carried call forms two O(nmr) products, the step's
@@ -324,22 +322,22 @@ class InomMemory:
 
 
 def inom_iterate(
-    V, state: FactorPair, *, v_sq: Optional[float] = None, products=None
+    V, state: FactorPair, *, v_sq: float, products=None
 ) -> tuple[FactorPair, dict]:
     """Full INOM iteration: H step, then W step, then renormalize W; inertial
     when handed its own memory.
 
     Per-iteration cost is O(2 r n m + 2 r^2 (n + m)). The info dict holds
-    the step sizes ``"mu"`` and ``"nu"``; with ``v_sq`` the objective reuses
-    the W step's ``V H^T`` and ``H H^T``, and ``info["products"]`` is an
+    the step sizes ``"mu"`` and ``"nu"``, the objective, which reuses the W
+    step's ``V H^T`` and ``H H^T``, and, as ``"products"``, an
     :class:`InomMemory` of the returned pair.
 
-    Given ``v_sq`` and, as ``products``, the memory that the previous call
-    handed on with this very pair, the iteration is inertial (TITAN: Hien,
-    Phan & Gillis, "An Inertial Block Majorization Minimization Framework for
-    Nonsmooth Nonconvex Optimization", JMLR 24, 2023). Each block takes the
-    paper's step from the extrapolated anchor ``X + beta (X - X_prev)``,
-    H with ``G = W^T W`` and then W with ``G = H' H'^T``, where
+    Given, as ``products``, the memory that the previous call handed on with
+    this very pair, the iteration is inertial (TITAN: Hien, Phan & Gillis,
+    "An Inertial Block Majorization Minimization Framework for Nonsmooth
+    Nonconvex Optimization", JMLR 24, 2023). Each block takes the paper's
+    step from the extrapolated anchor ``X + beta (X - X_prev)``, H with
+    ``G = W^T W`` and then W with ``G = H' H'^T``, where
     ``beta = min((t_{k-1} - 1) / t_k, INERTIA_BOUND * sqrt(L_{k-1} / L_k))``
     with Nesterov's ``t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2`` and ``L`` the
     block's step size (``mu`` or ``nu``). It forms the same two O(nmr)
@@ -358,19 +356,13 @@ def inom_iterate(
     here is only the observed one: the carried trace is monotone, by the
     fallback.
 
-    Otherwise (no ``v_sq``, ``products`` None, a SQUAREM candidate's
-    product tuple, or memory of another pair) the call is the paper's step,
-    bit for bit, and ``t`` starts at 1, so the next carried call has
-    ``beta = 0``.
+    Otherwise (``products`` None, a SQUAREM candidate's product tuple, or
+    memory of another pair) the call is the paper's step, bit for bit, and
+    ``t`` starts at 1, so the next carried call has ``beta = 0``.
     """
     W, H = state.W, state.H
     memory, pair = products, None
-    if (
-        v_sq is not None
-        and isinstance(memory, InomMemory)
-        and memory.W is W
-        and memory.H is H
-    ):
+    if isinstance(memory, InomMemory) and memory.W is W and memory.H is H:
         t, nesterov = _nesterov(memory.t)
         try:
             pair, info = _inom_step(V, W, H, v_sq, memory, nesterov)
@@ -382,10 +374,9 @@ def inom_iterate(
     if pair is None:
         t = 1.0
         pair, info = _inom_step(V, W, H, v_sq)
-    if v_sq is not None:
-        info["products"] = InomMemory(
-            pair.W, pair.H, W, H, t, info["mu"], info["nu"], info["objective"]
-        )
+    info["products"] = InomMemory(
+        pair.W, pair.H, W, H, t, info["mu"], info["nu"], info["objective"]
+    )
     return pair, info
 
 
@@ -407,15 +398,12 @@ def _inom_step(V, W, H, v_sq, memory=None, nesterov=0.0):
     if memory is not None:
         W = _extrapolate(W, memory.W_prev, nesterov, memory.nu, Hn)
     Wn, nu, VHt, G = inom_update_w(V, W, Hn)
-    info = {"mu": mu, "nu": nu}
-    if v_sq is not None:
-        # The cross term and W'^T W' of the pair before normalization, which
-        # has the same W H: normalize_pair writes W' and H' in place.
-        cross, WtW = float(np.vdot(VHt, Wn)), Wn.T @ Wn
+    # The cross term and W'^T W' of the pair before normalization, which has
+    # the same W H: normalize_pair writes W' and H' in place.
+    cross, WtW = float(np.vdot(VHt, Wn)), Wn.T @ Wn
     normalize_pair(Wn, Hn)
-    if v_sq is not None:
-        info["objective"] = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW, G)
-    return FactorPair(Wn, Hn), info
+    f = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW, G)
+    return FactorPair(Wn, Hn), {"mu": mu, "nu": nu, "objective": f}
 
 
 def _extrapolate(X, X_prev, nesterov, step_prev, F):
@@ -508,29 +496,25 @@ def parinom_update(V, W, H, *, products=None):
 
 
 def parinom_iterate(
-    V, state: FactorPair, *, v_sq: Optional[float] = None, products=None
+    V, state: FactorPair, *, v_sq: float, products=None
 ) -> tuple[FactorPair, dict]:
     """Full PARINOM iteration: the joint W/H update of :func:`parinom_update`,
     both factors computed from the incoming pair, then W renormalized.
 
-    With ``v_sq`` the objective forms the returned pair's ``V H'^T``,
-    ``W'^T W'`` and ``H' H'^T``, and ``info["products"]`` hands them on. Given
-    the incoming pair's products, the step forms only ``W^T V`` and the
-    objective's ``V H'^T``: two O(nmr) products per iteration instead of
-    three.
+    The objective forms the returned pair's ``V H'^T``, ``W'^T W'`` and
+    ``H' H'^T``, and ``info["products"]`` hands them on. Given the incoming
+    pair's products, the step forms only ``W^T V`` and the objective's
+    ``V H'^T``: two O(nmr) products per iteration instead of three.
     """
     Wn, Hn = parinom_update(V, state.W, state.H, products=products)
     products = None  # drop the incoming products before forming the new ones
     normalize_pair(Wn, Hn)
-    pair = FactorPair(Wn, Hn)
-    if v_sq is None:
-        return pair, {}
     f, products = linalg.pair_objective(V, Wn, Hn, v_sq)
-    return pair, {"objective": f, "products": products}
+    return FactorPair(Wn, Hn), {"objective": f, "products": products}
 
 
 def mu_iterate(
-    V, state: FactorPair, *, v_sq: Optional[float] = None, products=None
+    V, state: FactorPair, *, v_sq: float, products=None
 ) -> tuple[FactorPair, dict]:
     """Multiplicative-update iteration: W ratio step, then H ratio step.
 
@@ -543,10 +527,10 @@ def mu_iterate(
     MU itself hands on no ``V H^T``, but a SQUAREM candidate scored by
     :func:`linalg.pair_objective` carries one.
 
-    With ``v_sq`` the objective reuses the H step's ``W'^T V``, rescales its
-    ``W'^T W'`` by the column norms (O(r^2)) and forms ``H H^T`` of the
-    returned H, which ``info["products"]`` hands on as ``(None, None,
-    H H^T)``: the next call's W step then forms no Gram matrix of H.
+    The objective reuses the H step's ``W'^T V``, rescales its ``W'^T W'``
+    by the column norms (O(r^2)) and forms ``H H^T`` of the returned H,
+    which ``info["products"]`` hands on as ``(None, None, H H^T)``: the next
+    call's W step then forms no Gram matrix of H.
     """
     W, H = state.W, state.H
     HHt = H @ H.T if products is None or products[2] is None else products[2]
@@ -559,14 +543,11 @@ def mu_iterate(
     Hn = _ratio_step(WtV, WtW @ H, H, "MU H")
     # The cross term of the pair before normalize_pair rescales H' in place;
     # its norms then rescale W'^T W'.
-    cross = None if v_sq is None else float(np.vdot(WtV, Hn))
+    cross = float(np.vdot(WtV, Hn))
     norms = normalize_pair(Wn, Hn)
-    pair = FactorPair(Wn, Hn)
-    if v_sq is None:
-        return pair, {}
     HHt = Hn @ Hn.T
     f = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW / np.outer(norms, norms), HHt)
-    return pair, {"objective": f, "products": (None, None, HHt)}
+    return FactorPair(Wn, Hn), {"objective": f, "products": (None, None, HHt)}
 
 
 def _hals_sweep(X, P, Q, *, unit):
@@ -582,14 +563,14 @@ def _hals_sweep(X, P, Q, *, unit):
 
 
 def fast_hals_iterate(
-    V, state: FactorPair, *, v_sq: Optional[float] = None, products=None
+    V, state: FactorPair, *, v_sq: float, products=None
 ) -> tuple[FactorPair, dict]:
     """One Fast-HALS sweep: :func:`_hals_sweep` over the rows of H, then over
     the columns of W, each one's exact nonnegative minimizer (for W, on the
     unit sphere). The H sweep reads ``W^T W`` from ``products[1]`` when it is
-    given. With ``v_sq`` the objective reuses the W sweep's ``V H^T`` and
-    ``H H^T`` and forms the final ``W^T W``; ``info["products"]`` hands on
-    ``(None, W^T W, H H^T)``."""
+    given. The objective reuses the W sweep's ``V H^T`` and ``H H^T`` and
+    forms the final ``W^T W``; ``info["products"]`` hands on ``(None, W^T W,
+    H H^T)``."""
     W = state.W.copy()
     H = state.H.copy()
     WtW = W.T @ W if products is None or products[1] is None else products[1]
@@ -598,12 +579,9 @@ def fast_hals_iterate(
     R = V @ H.T
     S = H @ H.T
     _hals_sweep(W.T, R, S, unit=True)
-    pair = FactorPair(W, H)
-    if v_sq is None:
-        return pair, {}
     WtW = W.T @ W
     f = linalg.gram_objective(V, W, H, v_sq, float(np.vdot(R, W)), WtW, S)
-    return pair, {"objective": f, "products": (None, WtW, S)}
+    return FactorPair(W, H), {"objective": f, "products": (None, WtW, S)}
 
 
 # The attribute of this module holding each base algorithm's map. It is read

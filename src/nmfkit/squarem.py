@@ -6,28 +6,23 @@ backtracks alpha toward -1 until the Frobenius objective does not rise. At
 alpha = -1 the candidate is exactly the two-step iterate, so backtracking
 always terminates because the base map itself never increases the
 objective. The base map is any monotone map of :mod:`solvers`' one
-signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``,
-passed in by the caller.
+signature ``(V, pair, *, v_sq, products=None) -> (pair, info)``, passed in
+by the caller.
 
 The objective serves only as the descent test on each candidate (Varadhan &
 Roland, Scand. J. Statist. 35(2), 2008). A step takes the start point's
 value from the caller (``solve`` already holds it) and the two-step
-iterate's value from the base map. Each extrapolated candidate costs one
+iterate's value from the base map. Both base applications are carried
+calls: the first is handed the start point's products, the second the
+products the first handed on. Each extrapolated candidate costs one
 Gram-form evaluation (:func:`linalg.pair_objective`), whose only O(nmr)
-product is ``V H^T``. No step builds the n x m residual, except where the
-Gram form falls back to the exact value near a perfect fit. The accepted
-candidate's value and products ``(V H^T, W^T W, H H^T)`` are returned in
-:class:`AccelState`, and the next step hands those products to its first
-base application, which reads the ones its step needs: all three for
-PARINOM, ``V H^T`` and ``H H^T`` for MU, ``W^T W`` for Fast-HALS and none
-for INOM, which takes its plain step from them. With b
-the backtrack count, an accelerated PARINOM step so forms 5 + b O(nmr)
-products: one in the first base application, three in the second (its
-objective included) and one per extrapolated candidate. An accelerated MU
-step forms 4 + b: one in the first base application, two in the second and
-one per candidate. A step whose products are not given forms one more,
-and so does an MU step from an accepted two-step iterate, whose products
-hold no ``V H^T``.
+product is ``V H^T``, and the accepted candidate's value and products
+``(V H^T, W^T W, H H^T)`` are returned in :class:`AccelState` for the next
+step's first application. An accelerated step so costs two carried map
+calls plus one ``pair_objective`` per candidate; which products a call
+reads is the base map's own business. No step builds the n x m residual,
+except where the Gram form falls back to the exact value near a perfect
+fit.
 """
 
 from __future__ import annotations
@@ -61,9 +56,8 @@ class AccelState:
     of the pair, -1 for the two-step iterate. ``objective`` is that of the
     pair :func:`squarem_step` returns with it, and ``products`` that pair's
     ``(V H^T, W^T W, H H^T)`` for the next step's ``products=``. When the
-    accepted pair is the two-step iterate they are what the base map handed
-    on with it: None in each entry it did not form, or INOM's memory, which
-    the next step's first application, called without ``v_sq``, ignores."""
+    accepted pair is the two-step iterate they are whatever the base map
+    handed on with it."""
 
     alpha: float
     backtracks: int
@@ -108,7 +102,7 @@ def squarem_step(
     """One accelerated outer step of ``base_map`` from ``state``.
 
     ``base_map`` is a map such as ``solvers.parinom_iterate``, with the
-    signature ``(V, pair, *, v_sq=None, products=None) -> (pair, info)``;
+    signature ``(V, pair, *, v_sq, products=None) -> (pair, info)``;
     it must not raise the objective. With x1 = base_map(x0),
     x2 = base_map(x1), r = x1 - x0 and v = x2 - x1 - r, all over the pair
     (W, H) stacked, the step length is alpha = -||r|| / ||v||, one value for
@@ -132,15 +126,15 @@ def squarem_step(
     exactly). ``f0`` is the objective of ``state`` and ``v_sq`` is
     ``||V||_F**2``; ``solve`` already holds both. ``products`` are those of
     ``state``, as the previous step's :class:`AccelState` returned them, or
-    None to form them here.
+    None; the first base application is handed them.
     """
     x0 = state
-    x1, _ = base_map(V, x0, products=products)
+    x1, info = base_map(V, x0, v_sq=v_sq, products=products)
     # Only the first application reads x0's products; drop them before x2's
     # are formed.
     products = None
-    x2, info = base_map(V, x1, v_sq=v_sq)
-    f2, p2 = info["objective"], info.get("products")
+    x2, info = base_map(V, x1, v_sq=v_sq, products=info.pop("products"))
+    f2, p2 = info["objective"], info["products"]
 
     rw = x1.W - x0.W
     vw = x2.W - x1.W - rw

@@ -176,7 +176,8 @@ def fixed_point_drift(V, pair: FactorPair, alg: Algorithm) -> float:
     """Largest entry change of ``pair`` under one step of the base map of
     ``alg`` (a key of ``solvers.BASE_MAPS``); ``pair`` is an exact
     factorization of ``V``, so the change should be zero up to rounding."""
-    out, _ = solvers.base_map(alg)(V, pair.copy())
+    v_sq = float(np.vdot(V, V))
+    out, _ = solvers.base_map(alg)(V, pair.copy(), v_sq=v_sq)
     return float(np.max([np.abs(out.W - pair.W).max(), np.abs(out.H - pair.H).max()]))
 
 
@@ -226,8 +227,8 @@ def acceleration_gaps(
     def objective(pair):
         return linalg.frobenius_residual(V, pair.W, pair.H)
 
-    x1, _ = step(V, start.copy())
-    x2, _ = step(V, x1)
+    x1, _ = step(V, start.copy(), v_sq=v_sq)
+    x2, _ = step(V, x1, v_sq=v_sq)
     forced, _ = squarem.squarem_step(
         V, start.copy(), step, f0=objective(start), v_sq=v_sq, force_alpha=-1.0
     )
@@ -236,7 +237,7 @@ def acceleration_gaps(
     plain = [objective(start)]
     s = start.copy()
     for _ in range(2 * steps):
-        s, _ = step(V, s)
+        s, _ = step(V, s, v_sq=v_sq)
         plain.append(objective(s))
     s, accel = start.copy(), [plain[0]]
     for _ in range(steps):

@@ -185,7 +185,7 @@ class TestScenario:
     def test_cell_failure_recorded_and_run_continues(self, monkeypatch):
         monkeypatch.setattr(bench, "ALL_ALGORITHMS", (Algorithm.MU, Algorithm.INOM))
 
-        def broken(V, state, *, v_sq=None, products=None):
+        def broken(V, state, *, v_sq, products=None):
             raise NumericalFailureError("injected fault")
 
         monkeypatch.setattr(solvers, "mu_iterate", broken)

@@ -1,6 +1,8 @@
+import inspect
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -815,3 +817,12 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_annotations_resolve_without_command_only_modules(self):
+        # An annotation naming datagen, bench or verify would need the module
+        # cli loads only with its command.
+        for obj in vars(cli).values():
+            if inspect.isfunction(obj) and obj.__module__ == cli.__name__:
+                typing.get_type_hints(obj)
+        hints = typing.get_type_hints(cli.solve_bss)
+        assert hints == {"observed": np.ndarray, "algorithm": solvers.Algorithm}

@@ -151,7 +151,7 @@ class TestSharedBlockSteps:
         Ht, mu_t = inom_update_h(V.T, H.T, W.T)
         assert mu_t == nu_out
         np.testing.assert_allclose(Ht.T, Wn, rtol=1e-12, atol=1e-15)
-        out, _ = fast_hals_iterate(V, pair)
+        out, _ = fast_hals_iterate(V, pair, v_sq=float(np.vdot(V, V)))
         W_ref, H_ref = hals_sweep_oracle(V, W, H)
         assert np.array_equal(out.W, W_ref) and np.array_equal(out.H, H_ref)
 
@@ -231,7 +231,7 @@ class TestNormalizePair:
 class TestInomIterate:
     def test_fixed_point(self):
         V, pair = planted_instance(2)
-        out, _ = inom_iterate(V, pair)
+        out, _ = inom_iterate(V, pair, v_sq=float(np.vdot(V, V)))
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
@@ -241,13 +241,13 @@ class TestInomIterate:
         config = SolverConfig(algorithm=Algorithm.INOM, rank=1, seed=11)
         state = initial_factors(V, config.rank, config.seed)
         f0 = objective(V, state)
-        f1 = objective(V, inom_iterate(V, state)[0])
+        f1 = objective(V, inom_iterate(V, state, v_sq=float(np.vdot(V, V)))[0])
         assert f1 < f0
 
     def test_output_satisfies_invariants(self):
         for i in range(5):
             V, pair = random_instance(200 + i)
-            out, _ = inom_iterate(V, pair)
+            out, _ = inom_iterate(V, pair, v_sq=float(np.vdot(V, V)))
             out.validate()
 
 
@@ -257,13 +257,13 @@ class TestParinom:
         Wn, Hn = parinom_update(V, W, H)
         assert abs(Wn[0, 0] - 2.0**0.25) <= 1e-15
         assert abs(Hn[0, 0] - 2.0**0.25) <= 1e-15
-        out, _ = parinom_iterate(V, FactorPair(W, H))
+        out, _ = parinom_iterate(V, FactorPair(W, H), v_sq=float(np.vdot(V, V)))
         f = linalg.frobenius_residual(V, out.W, out.H)
         assert abs(f - (2.0 - math.sqrt(2.0)) ** 2) <= 1e-12
 
     def test_fixed_point(self):
         V, pair = planted_instance(3)
-        out, _ = parinom_iterate(V, pair)
+        out, _ = parinom_iterate(V, pair, v_sq=float(np.vdot(V, V)))
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
@@ -282,7 +282,7 @@ class TestParinom:
         for i in range(5):
             V, pair = random_instance(400 + i)
             f0 = objective(V, pair)
-            out, _ = parinom_iterate(V, pair)
+            out, _ = parinom_iterate(V, pair, v_sq=float(np.vdot(V, V)))
             assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
 
     def test_quarter_power_step_matches_pow_form(self):
@@ -300,7 +300,7 @@ class TestParinom:
         V, pair = planted_instance(3)
         H = pair.H * 1e80
         V = pair.W @ H
-        out, _ = parinom_iterate(V, FactorPair(pair.W, H))
+        out, _ = parinom_iterate(V, FactorPair(pair.W, H), v_sq=float(np.vdot(V, V)))
         assert np.all(np.isfinite(out.H))
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert (np.abs(out.H - H) / H).max() <= 1e-12
@@ -336,19 +336,20 @@ class TestPositivityGuard:
     def test_zero_denominator_raises(self, step, W, H, what):
         V = np.ones((2, 2))
         with pytest.raises(NumericalFailureError, match=f"the (MU )?{what} update"):
-            step(V, FactorPair(np.array(W), np.array(H)))
+            step(V, FactorPair(np.array(W), np.array(H)), v_sq=float(np.vdot(V, V)))
 
 
 class TestMu:
     def test_fixed_point(self):
         V, pair = planted_instance(4)
-        out, _ = mu_iterate(V, pair)
+        out, _ = mu_iterate(V, pair, v_sq=float(np.vdot(V, V)))
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
     def test_scalar_example_reaches_exact_fit(self):
         V = np.array([[2.0]])
-        out, _ = mu_iterate(V, FactorPair(np.array([[1.0]]), np.array([[1.0]])))
+        pair = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
+        out, _ = mu_iterate(V, pair, v_sq=float(np.vdot(V, V)))
         assert out.W == np.array([[1.0]])
         assert out.H == np.array([[2.0]])
         assert linalg.frobenius_residual(V, out.W, out.H) == 0.0
@@ -370,7 +371,8 @@ class TestMu:
         for i in range(5):
             V, pair = random_instance(500 + i)
             f0 = objective(V, pair)
-            assert objective(V, mu_iterate(V, pair)[0]) <= f0 + 1e-9 * max(1.0, f0)
+            out, _ = mu_iterate(V, pair, v_sq=float(np.vdot(V, V)))
+            assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
 
     def test_objective_matches_exact_residual(self):
         # The objective takes the rescaled W'^T W' against the returned pair's
@@ -385,7 +387,7 @@ class TestMu:
 class TestFastHals:
     def test_fixed_point(self):
         V, pair = planted_instance(5)
-        out, _ = fast_hals_iterate(V, pair)
+        out, _ = fast_hals_iterate(V, pair, v_sq=float(np.vdot(V, V)))
         assert np.abs(out.W - pair.W).max() <= 1e-12
         assert np.abs(out.H - pair.H).max() <= 1e-12
 
@@ -399,7 +401,7 @@ class TestFastHals:
             V = np.maximum(V, 0.0)
             w = linalg.normalize_columns(rng.uniform(0.1, 1.0, (6, 1)))
             h = rng.uniform(0.1, 1.0, (1, 8))
-            out, _ = fast_hals_iterate(V, FactorPair(w, h))
+            out, _ = fast_hals_iterate(V, FactorPair(w, h), v_sq=float(np.vdot(V, V)))
             h_star = np.maximum(0.0, (V.T @ w[:, 0]) / (w[:, 0] @ w[:, 0]))
             assert np.abs(out.H[0] - h_star).max() <= 1e-10
             w_raw = np.maximum(0.0, V @ h_star)
@@ -410,7 +412,7 @@ class TestFastHals:
         for i in range(5):
             V, pair = random_instance(700 + i)
             f0 = objective(V, pair)
-            out, _ = fast_hals_iterate(V, pair)
+            out, _ = fast_hals_iterate(V, pair, v_sq=float(np.vdot(V, V)))
             assert objective(V, out) <= f0 + 1e-9 * max(1.0, f0)
             out.validate()
 
@@ -420,7 +422,7 @@ class TestFastHals:
         W[:, 1] = 0.0
         H = np.ones((2, 5))
         with pytest.raises(NumericalFailureError, match="component 1$"):
-            fast_hals_iterate(V, FactorPair(W, H))
+            fast_hals_iterate(V, FactorPair(W, H), v_sq=float(np.vdot(V, V)))
 
 
 class TestSolverConfig:
@@ -781,9 +783,9 @@ class TestProductCarry:
 
     @pytest.mark.parametrize("alg", list(solvers.BASE_MAPS), ids=lambda a: a.value)
     def test_products_belong_to_returned_pair(self, alg):
-        # Products are handed on only with the objective. INOM's are its
-        # memory: the returned pair itself and the pair it stepped from, on
-        # an uncarried call and on each carried call after it.
+        # Every call hands on products. INOM's are its memory: the returned
+        # pair itself and the pair it stepped from, on an uncarried call and
+        # on each carried call after it.
         V, pair = random_instance(600, n=20, m=30, r=4)
         v_sq = float(np.vdot(V, V))
         if alg is Algorithm.INOM:
@@ -806,8 +808,6 @@ class TestProductCarry:
             assert handed
             for got, want in zip(info["products"], fresh_products(V, out)):
                 assert got is None or np.array_equal(got, want)
-        _, bare = base_map(alg)(V, pair)
-        assert "products" not in bare
 
     @pytest.mark.parametrize("alg", [Algorithm.INOM], ids=lambda a: a.value)
     def test_other_maps_ignore_products(self, alg):
@@ -886,8 +886,7 @@ def paper_inom_step(V, pair, v_sq):
     # fresh pair in place.
     cross, WtW = float(np.vdot(VHt, Wn)), Wn.T @ Wn
     solvers.normalize_pair(Wn, Hn)
-    if v_sq is not None:
-        info["objective"] = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW, G)
+    info["objective"] = linalg.gram_objective(V, Wn, Hn, v_sq, cross, WtW, G)
     return FactorPair(Wn, Hn), info
 
 
@@ -918,13 +917,8 @@ class TestInertialInom:
         out, info = inom_iterate(V, pair, v_sq=v_sq)
         assert_paper_step(V, pair, out, info, v_sq)
         assert info["products"].t == 1.0
-        out, info = inom_iterate(V, pair)
-        assert_paper_step(V, pair, out, info, None)
-        assert "objective" not in info and "products" not in info
 
-    @pytest.mark.parametrize(
-        "kind", ["squarem-tuple", "other-pair", "equal-copy", "no-v_sq"]
-    )
+    @pytest.mark.parametrize("kind", ["squarem-tuple", "other-pair", "equal-copy"])
     def test_foreign_products_give_paper_step(self, kind):
         V, v_sq, start, pair, memory = self._momentum_pair(621)
         # The memory is live: on its own pair the call is inertial.
@@ -935,14 +929,11 @@ class TestInertialInom:
             products = linalg.pair_objective(V, pair.W, pair.H, v_sq)[1]
         elif kind == "other-pair":
             products = inom_iterate(V, start, v_sq=v_sq)[1]["products"]
-        elif kind == "equal-copy":
-            products, pair = memory, pair.copy()
         else:
-            products, v_sq = memory, None
+            products, pair = memory, pair.copy()
         out, info = inom_iterate(V, pair, v_sq=v_sq, products=products)
         assert_paper_step(V, pair, out, info, v_sq)
-        if v_sq is not None:
-            assert info["products"].t == 1.0
+        assert info["products"].t == 1.0
 
     @pytest.mark.parametrize("outcome", ["rise", "failure"])
     def test_bad_inertial_step_returns_paper_step_and_resets_t(self, outcome):

@@ -58,8 +58,9 @@ class TestSquaremStep:
     def test_alpha_minus_one_identity_is_exact(self):
         for i in range(5):
             V, pair = random_instance(100 + i)
-            x1, _ = parinom_iterate(V, pair)
-            x2, _ = parinom_iterate(V, x1)
+            v_sq = float(np.vdot(V, V))
+            x1, _ = parinom_iterate(V, pair, v_sq=v_sq)
+            x2, _ = parinom_iterate(V, x1, v_sq=v_sq)
             out, accel = accelerate(V, pair, parinom_iterate, force_alpha=-1.0)
             assert np.array_equal(out.W, x2.W)
             assert np.array_equal(out.H, x2.H)
@@ -72,8 +73,9 @@ class TestSquaremStep:
             V, pair = random_instance(120 + i)
             V, pair = 1e80 * V, FactorPair(pair.W, 1e80 * pair.H)
             products = (V @ pair.H.T, pair.W.T @ pair.W, pair.H @ pair.H.T)
-            x1, _ = parinom_iterate(V, pair, products=products)
-            x2, _ = parinom_iterate(V, x1)
+            v_sq = float(np.vdot(V, V))
+            x1, _ = parinom_iterate(V, pair, v_sq=v_sq, products=products)
+            x2, _ = parinom_iterate(V, x1, v_sq=v_sq)
             out, accel = accelerate(
                 V, pair, parinom_iterate, force_alpha=-1.0, products=products
             )
@@ -139,14 +141,14 @@ class TestSquaremStep:
         V, planted = planted_instance(5, n=6, m=8, r=2)
         H_star = planted.H
 
-        def fake(V, pair, *, v_sq=None, products=None):
+        def fake(V, pair, *, v_sq, products=None):
             out = FactorPair(pair.W.copy(), 0.5 * pair.H + 0.5 * H_star)
-            info = {} if v_sq is None else {"objective": objective(V, out)}
-            return out, info
+            return out, {"objective": objective(V, out), "products": None}
 
         x0 = FactorPair(planted.W, 2.0 * H_star + 0.3)
-        x1, _ = fake(V, x0)
-        x2, _ = fake(V, x1)
+        v_sq = float(np.vdot(V, V))
+        x1, _ = fake(V, x0, v_sq=v_sq)
+        x2, _ = fake(V, x1, v_sq=v_sq)
         out, accel = accelerate(V, x0, fake)
         assert abs(accel.alpha + 2.0) <= 1e-12
         assert accel.backtracks == 0
@@ -169,16 +171,16 @@ class TestSquaremStep:
         # both factors extrapolated with it.
         V, planted = planted_instance(6, n=6, m=8, r=2)
 
-        def fake(V, pair, *, v_sq=None, products=None):
+        def fake(V, pair, *, v_sq, products=None):
             out = FactorPair(
                 0.5 * pair.W + 0.5 * planted.W, 0.75 * pair.H + 0.25 * planted.H
             )
-            info = {} if v_sq is None else {"objective": objective(V, out)}
-            return out, info
+            return out, {"objective": objective(V, out), "products": None}
 
         x0 = FactorPair(planted.W + 0.2, 1.5 * planted.H + 0.3)
-        x1, _ = fake(V, x0)
-        x2, _ = fake(V, x1)
+        v_sq = float(np.vdot(V, V))
+        x1, _ = fake(V, x0, v_sq=v_sq)
+        x2, _ = fake(V, x1, v_sq=v_sq)
         out, accel = accelerate(V, x0, fake)
         rw, rh = x1.W - x0.W, x1.H - x0.H
         vw, vh = x2.W - x1.W - rw, x2.H - x1.H - rh
@@ -236,10 +238,10 @@ def recorded(base):
     return recording, calls
 
 
-def still(V, pair, *, v_sq=None, products=None):
+def still(V, pair, *, v_sq, products=None):
     """A base map that returns a fresh copy of its pair, so ||v|| is 0."""
     out = pair.copy()
-    f, p = linalg.pair_objective(V, out.W, out.H, v_sq) if v_sq else (None, None)
+    f, p = linalg.pair_objective(V, out.W, out.H, v_sq)
     return out, {"objective": f, "products": p}
 
 
@@ -350,6 +352,24 @@ class TestProductCarry:
             assert np.array_equal(carried.H, plain.H)
             assert f_carried == f_plain
             assert accel.backtracks == plain_accel.backtracks
+
+    def test_base_applications_are_carried_calls(self):
+        # Both applications get v_sq; the first gets the step's products and
+        # the second the very products the first handed on.
+        V, pair = random_instance(522)
+        v_sq = float(np.vdot(V, V))
+        given, calls = object(), []
+
+        def recording(V, pair, *, v_sq, products=None):
+            out, info = parinom_iterate(V, pair, v_sq=v_sq)
+            calls.append((v_sq, products, info["products"]))
+            return out, info
+
+        f0 = objective(V, pair)
+        squarem_step(V, pair, recording, f0=f0, v_sq=v_sq, products=given)
+        assert [call[0] for call in calls] == [v_sq, v_sq]
+        assert calls[0][1] is given
+        assert calls[1][1] is calls[0][2]
 
 
 class TestAcceleratedSolve:
