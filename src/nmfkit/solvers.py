@@ -34,11 +34,12 @@ The products carry: each product is formed once across consecutive calls.
 the map did not form. Every call hands on, as ``info["products"]``, the
 products of the pair it returns that its objective formed, and the same
 map's next call, given them as ``products=``, reads the ones its step needs
-instead of forming them again. :func:`solve` threads them from one call to
-the next. A map hands on only entries formed by the same expression the
-consumer would use, so a carried run of PARINOM, MU or Fast-HALS and an
-uncarried run are bitwise equal. ``products=None`` means "form them here",
-so a pair built or changed by hand never meets stale products.
+instead of forming them again; it forms any entry it reads that is None.
+:func:`solve` threads them from one call to the next. A map hands on only
+entries formed by the same expression the consumer would use, so a carried
+run of PARINOM, MU or Fast-HALS and an uncarried run are bitwise equal.
+``products=None`` means "form them here", so a pair built or changed by
+hand never meets stale products.
 
   * PARINOM hands on all three (:func:`linalg.pair_objective`) and its step
     reads all three, so a carried call forms two O(nmr) products, the step's
@@ -485,11 +486,15 @@ def parinom_update(V, W, H, *, products=None):
     they are evaluated does not matter. Entries are floored at
     ``POSITIVITY_FLOOR`` afterwards because the multiplicative form needs
     strictly positive factors on the next call. ``products`` is
-    ``(V H^T, W^T W, H H^T)`` of (W, H) when the caller already holds them;
-    when None they are formed here. ``W^T V`` is always formed here. Neither
-    the inputs nor the products are written.
+    ``(V H^T, W^T W, H H^T)`` of (W, H) when the caller already holds them,
+    with None for an entry it does not hold; when None, or for a None entry,
+    they are formed here. ``W^T V`` is always formed here. Neither the
+    inputs nor the products are written.
     """
-    VHt, WtW, HHt = (V @ H.T, W.T @ W, H @ H.T) if products is None else products
+    VHt, WtW, HHt = (None, None, None) if products is None else products
+    VHt = V @ H.T if VHt is None else VHt
+    WtW = W.T @ W if WtW is None else WtW
+    HHt = H @ H.T if HHt is None else HHt
     Wn = _ratio_step(VHt, W @ HHt, W, "W", quarter=True)
     Hn = _ratio_step(W.T @ V, WtW @ H, H, "H", quarter=True)
     return Wn, Hn

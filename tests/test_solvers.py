@@ -821,6 +821,23 @@ class TestProductCarry:
             assert np.array_equal(out.H, plain.H)
             assert info["objective"] == plain_info["objective"]
 
+    @pytest.mark.parametrize(
+        "source", [Algorithm.MU, Algorithm.FAST_HALS], ids=lambda a: a.value
+    )
+    def test_parinom_forms_what_a_partial_tuple_lacks(self, source):
+        # MU hands on (None, None, H H^T) and Fast-HALS (None, W^T W, H H^T):
+        # PARINOM forms the None entries and takes the uncarried step.
+        V, start = random_instance(606, n=20, m=30, r=4)
+        v_sq = float(np.vdot(V, V))
+        pair, info = base_map(source)(V, start, v_sq=v_sq)
+        assert info["products"][0] is None
+        step = base_map(Algorithm.PARINOM)
+        out, out_info = step(V, pair, v_sq=v_sq, products=info["products"])
+        plain, plain_info = step(V, pair, v_sq=v_sq)
+        assert np.array_equal(out.W, plain.W)
+        assert np.array_equal(out.H, plain.H)
+        assert out_info["objective"] == plain_info["objective"]
+
     @pytest.mark.parametrize("alg", CARRYING, ids=lambda a: a.value)
     def test_carried_loop_equals_uncarried(self, alg):
         V, start = random_instance(601, n=20, m=30, r=4)
@@ -982,15 +999,17 @@ class TestInertialInom:
         assert max(gaps) <= verify.MAJORIZATION_TOL
 
     def test_zero_momentum_measure_catches_a_nonzero_beta(self, monkeypatch):
+        # Around INOM, verify's alpha = -1 identity is the beta = 0 check: the
+        # step's second call is handed the t = 1 memory of its first.
         V, start = random_instance(624, n=20, m=30, r=4)
-        assert verify.zero_momentum_exact(V, start)
+        assert verify.acceleration_gaps(V, start, Algorithm.INOM, 1).identity_exact
         extrapolate = solvers._extrapolate
         monkeypatch.setattr(
             solvers,
             "_extrapolate",
             lambda X, X_prev, nesterov, *rest: extrapolate(X, X_prev, nesterov + 0.5, *rest),
         )
-        assert not verify.zero_momentum_exact(V, start)
+        assert not verify.acceleration_gaps(V, start, Algorithm.INOM, 1).identity_exact
 
     def test_carried_traces_are_monotone(self):
         hypothesis = pytest.importorskip("hypothesis")

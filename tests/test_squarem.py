@@ -1,3 +1,4 @@
+import math
 import sys
 from types import SimpleNamespace
 
@@ -10,6 +11,8 @@ from nmfkit.solvers import (
     Algorithm,
     FactorPair,
     SolverConfig,
+    fast_hals_iterate,
+    inom_iterate,
     mu_iterate,
     normalize_pair,
     parinom_iterate,
@@ -320,21 +323,26 @@ class TestTwoStepExit:
         assert info.value.iteration == 4
 
 
+CARRYING = [parinom_iterate, mu_iterate, fast_hals_iterate]
+CARRYING_IDS = ["parinom", "mu", "fast-hals"]
+
+
 class TestProductCarry:
     """A step returns its accepted pair's products for the next step's
     first base application."""
 
-    @pytest.mark.parametrize("base", [parinom_iterate, mu_iterate], ids=["parinom", "mu"])
+    @pytest.mark.parametrize("base", CARRYING, ids=CARRYING_IDS)
     def test_products_belong_to_accepted_pair(self, base):
         for i in range(5):
             V, pair = random_instance(500 + i)
             out, accel = accelerate(V, pair, base)
-            # MU's two-step iterate hands on H H^T alone; None marks the rest.
+            # A two-step iterate of MU or Fast-HALS hands on only some
+            # products; None marks the rest.
             fresh = (V @ out.H.T, out.W.T @ out.W, out.H @ out.H.T)
             for got, want in zip(accel.products, fresh):
                 assert got is None or np.array_equal(got, want)
 
-    @pytest.mark.parametrize("base", [parinom_iterate, mu_iterate], ids=["parinom", "mu"])
+    @pytest.mark.parametrize("base", CARRYING, ids=CARRYING_IDS)
     def test_carried_steps_equal_uncarried(self, base):
         V, start = random_instance(521, n=20, m=30, r=4)  # backtracks in 4 steps
         v_sq = float(np.vdot(V, V))
@@ -370,6 +378,28 @@ class TestProductCarry:
         assert [call[0] for call in calls] == [v_sq, v_sq]
         assert calls[0][1] is given
         assert calls[1][1] is calls[0][2]
+
+    def test_inom_memory_makes_the_next_first_application_inertial(self):
+        # A step that exits with INOM's two-step iterate returns the memory
+        # its second call handed on: t = (1 + sqrt 5) / 2 after the first
+        # call's t = 1. Handed to the next step, it makes that step's first
+        # application inertial, so t grows again.
+        V, pair = random_instance(523)
+        v_sq = float(np.vdot(V, V))
+        out, accel = accelerate(V, pair, inom_iterate, force_alpha=-1.0)
+        memory = accel.products
+        assert isinstance(memory, solvers.InomMemory)
+        assert memory.W is out.W and memory.H is out.H
+        assert memory.t == (1.0 + math.sqrt(5.0)) / 2.0
+        handed = []
+
+        def recording(V, pair, *, v_sq, products=None):
+            out, info = inom_iterate(V, pair, v_sq=v_sq, products=products)
+            handed.append(info["products"].t)
+            return out, info
+
+        squarem_step(V, out, recording, f0=accel.objective, v_sq=v_sq, products=memory)
+        assert handed[0] > memory.t
 
 
 class TestAcceleratedSolve:
